@@ -106,11 +106,12 @@ public:
   bool ok() const { return Out.Success && Specialized; }
   const std::string &error() const { return Error; }
 
-  sf::EvalResult runVm() { return vm::runTerm(Out.SfTerm, FE.getPrelude()); }
+  sf::EvalResult runOnVm() { return FE.run(Out, {.Engine = Backend::Vm}); }
 
   /// One AOT execution (cached compile + child process); \p Repeat > 1
   /// additionally fills \p Info->BenchNsPerRun from the child's
-  /// in-process timing loop.
+  /// in-process timing loop — a knob only this bench needs, so it
+  /// calls the backend directly rather than through Frontend::run.
   sf::EvalResult runAot(const aot::ToolchainOptions &TO, aot::RunInfo *Info,
                         long long Repeat = 1) {
     return aot::runAot(Specialized, FE.getPrelude(), sf::EvalOptions(), TO,
@@ -176,7 +177,7 @@ uint64_t vmNsPerRun(AotSuite &S, unsigned Iters, unsigned Rounds) {
   for (unsigned R = 0; R < Rounds; ++R) {
     auto Start = std::chrono::steady_clock::now();
     for (unsigned I = 0; I < Iters; ++I) {
-      sf::EvalResult Res = S.runVm();
+      sf::EvalResult Res = S.runOnVm();
       benchmark::DoNotOptimize(Res.Val);
     }
     uint64_t Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

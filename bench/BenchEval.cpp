@@ -115,33 +115,6 @@ static void BM_EvalHigherOrderSum(benchmark::State &State) {
 }
 BENCHMARK(BM_EvalHigherOrderSum)->Arg(16)->Arg(128)->Arg(512)->Arg(1024);
 
-static void BM_EvalCompiledAccumulate(benchmark::State &State) {
-  // The closure-compiling engine (systemf/Compile.h): variables are
-  // (frame, slot) coordinates resolved at compile time, dispatch is a
-  // direct call — measures interpretation overhead attributable to the
-  // tree walk itself.
-  Frontend FE;
-  CompileOutput Out = FE.compile("bench.fg", dictProgram(State.range(0)));
-  if (!Out.Success) {
-    State.SkipWithError(Out.ErrorMessage.c_str());
-    return;
-  }
-  std::string Error;
-  auto C = sf::CompiledTerm::compile(Out.SfTerm, FE.getPrelude(), &Error);
-  if (!C) {
-    State.SkipWithError(Error.c_str());
-    return;
-  }
-  for (auto _ : State) {
-    sf::EvalResult R = C->run();
-    if (!R.ok())
-      State.SkipWithError(R.Error.c_str());
-    benchmark::DoNotOptimize(R.Val);
-  }
-  State.SetItemsProcessed(State.iterations() * State.range(0));
-}
-BENCHMARK(BM_EvalCompiledAccumulate)->Arg(16)->Arg(128)->Arg(512)->Arg(1024);
-
 static void BM_EvalSpecializedAccumulate(benchmark::State &State) {
   // The C++-instantiation model recovered by the specializer
   // (systemf/Optimize.h): dictionaries inlined, member projections
@@ -152,9 +125,10 @@ static void BM_EvalSpecializedAccumulate(benchmark::State &State) {
     State.SkipWithError(Out.ErrorMessage.c_str());
     return;
   }
+  RunOptions O1{.Level = RunLevel::at(sf::SpecializeLevel::Off)};
   FE.optimize(Out);
   for (auto _ : State) {
-    sf::EvalResult R = FE.runOptimized(Out);
+    sf::EvalResult R = FE.run(Out, O1);
     if (!R.ok())
       State.SkipWithError(R.Error.c_str());
     benchmark::DoNotOptimize(R.Val);

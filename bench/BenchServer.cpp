@@ -55,10 +55,10 @@ namespace {
 /// \p Tag varies the program text so "cold" requests never collide in
 /// the content-hash cache.
 std::string checkProgram(uint64_t Tag) {
-  return "concept Acc<t> { combine : fn(t,t) -> t; zero : t; }\n"
+  return "concept Acc<t> { combine : fn(t,t) -> t; zero : t; } in\n"
          "model Acc<int> { combine = iadd; zero = " +
          std::to_string(Tag) +
-         "; }\n"
+         "; } in\n"
          "let fold3 = forall t where Acc<t>. fun(a : t, b : t, c : t).\n"
          "  Acc<t>.combine(a, Acc<t>.combine(b, Acc<t>.combine(c, "
          "Acc<t>.zero)))\n"
@@ -76,6 +76,10 @@ void BM_ServerCheckCold(benchmark::State &State) {
   for (auto _ : State) {
     Outcome O = S.check(checkProgram(Tag++));
     benchmark::DoNotOptimize(O.Success);
+    if (!O.Success) {
+      State.SkipWithError(("check failed: " + O.Diagnostics).c_str());
+      break;
+    }
   }
 }
 BENCHMARK(BM_ServerCheckCold);
@@ -88,6 +92,12 @@ void BM_ServerCheckWarm(benchmark::State &State) {
   for (auto _ : State) {
     Outcome O = S.check(Program);
     benchmark::DoNotOptimize(O.Cached);
+    if (!O.Success || !O.Cached) {
+      State.SkipWithError(("warm check failed or missed the cache: " +
+                           O.Diagnostics)
+                              .c_str());
+      break;
+    }
   }
 }
 BENCHMARK(BM_ServerCheckWarm);
@@ -97,7 +107,8 @@ BENCHMARK(BM_ServerCheckWarm);
 //===----------------------------------------------------------------------===//
 
 /// One blocking protocol request over an already-connected socket;
-/// returns the round-trip latency in microseconds (-1 on failure).
+/// returns the round-trip latency in microseconds, or -1 on a transport
+/// failure or when the reply does not report a successful check.
 int64_t timedRequest(int Fd, std::string &Buffer, const std::string &Line) {
   auto Start = std::chrono::steady_clock::now();
   std::string Out = Line + "\n";
@@ -116,10 +127,16 @@ int64_t timedRequest(int Fd, std::string &Buffer, const std::string &Line) {
       return -1;
     Buffer.append(Chunk, static_cast<size_t>(N));
   }
+  int64_t Us = std::chrono::duration_cast<std::chrono::microseconds>(
+                   std::chrono::steady_clock::now() - Start)
+                   .count();
+  Json Reply;
+  std::string Error;
+  bool Parsed = Json::parse(Buffer.substr(0, NL), Reply, Error);
   Buffer.erase(0, NL + 1);
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
+  const Json *Result = Parsed ? Reply.find("result") : nullptr;
+  const Json *Success = Result ? Result->find("success") : nullptr;
+  return Success && Success->asBool() ? Us : -1;
 }
 
 int connectTo(const std::string &Path) {
@@ -155,8 +172,9 @@ int64_t percentile(std::vector<int64_t> &V, int P) {
 }
 
 /// Runs one (concurrency, cold/warm) cell against \p SocketPath and
-/// records the latency percentiles and throughput as counters.
-void runCell(const std::string &SocketPath, unsigned Clients, bool Warm,
+/// records the latency percentiles and throughput as counters.  Returns
+/// false, recording nothing, when any check fails.
+bool runCell(const std::string &SocketPath, unsigned Clients, bool Warm,
              unsigned TotalRequests, std::atomic<uint64_t> &ColdTag,
              int64_t &P50Out) {
   const std::string WarmProgram = checkProgram(999999);
@@ -169,6 +187,7 @@ void runCell(const std::string &SocketPath, unsigned Clients, bool Warm,
 
   unsigned PerClient = TotalRequests / Clients;
   std::vector<std::vector<int64_t>> Latencies(Clients);
+  std::atomic<unsigned> Failed{0};
   auto WallStart = std::chrono::steady_clock::now();
   std::vector<std::thread> Threads;
   for (unsigned C = 0; C < Clients; ++C)
@@ -181,8 +200,11 @@ void runCell(const std::string &SocketPath, unsigned Clients, bool Warm,
         std::string Source =
             Warm ? WarmProgram : checkProgram(ColdTag.fetch_add(1));
         int64_t Us = timedRequest(Fd, Buf, checkRequest(Source));
-        if (Us >= 0)
-          Latencies[C].push_back(Us);
+        if (Us < 0) {
+          ++Failed;
+          break;
+        }
+        Latencies[C].push_back(Us);
       }
       ::close(Fd);
     });
@@ -192,17 +214,26 @@ void runCell(const std::string &SocketPath, unsigned Clients, bool Warm,
                         std::chrono::steady_clock::now() - WallStart)
                         .count();
 
+  std::string Suffix =
+      std::string(Warm ? "warm" : "cold") + ".c" + std::to_string(Clients);
+  if (Failed != 0) {
+    // Timing failed requests would measure error paths, not checks.
+    std::fprintf(stderr,
+                 "BenchServer: %u client(s) got a failed check in cell %s; "
+                 "not recorded\n",
+                 Failed.load(), Suffix.c_str());
+    return false;
+  }
   std::vector<int64_t> All;
   for (std::vector<int64_t> &L : Latencies)
     All.insert(All.end(), L.begin(), L.end());
-  std::string Suffix =
-      std::string(Warm ? "warm" : "cold") + ".c" + std::to_string(Clients);
   stats::Statistics &S = stats::Statistics::global();
   P50Out = percentile(All, 50);
   S.add("server.check.p50_us." + Suffix, uint64_t(P50Out));
   S.add("server.check.p99_us." + Suffix, uint64_t(percentile(All, 99)));
   S.add("server.check.throughput_rps." + Suffix,
         WallSecs > 0 ? uint64_t(All.size() / WallSecs) : 0);
+  return true;
 }
 
 /// The full sweep: 1/4/16 clients, cold then warm, against one daemon.
@@ -223,12 +254,12 @@ void runConcurrencySweep() {
   std::atomic<uint64_t> ColdTag{0};
   for (unsigned Clients : {1u, 4u, 16u}) {
     int64_t ColdP50 = 0, WarmP50 = 0;
-    runCell(Srv.socketPath(), Clients, /*Warm=*/false, /*Total=*/96,
-            ColdTag, ColdP50);
-    runCell(Srv.socketPath(), Clients, /*Warm=*/true, /*Total=*/96,
-            ColdTag, WarmP50);
+    bool Ok = runCell(Srv.socketPath(), Clients, /*Warm=*/false,
+                      /*Total=*/96, ColdTag, ColdP50);
+    Ok &= runCell(Srv.socketPath(), Clients, /*Warm=*/true, /*Total=*/96,
+                  ColdTag, WarmP50);
     // 100 = parity; the daemon earns its keep when this is >= 200.
-    if (WarmP50 > 0)
+    if (Ok && WarmP50 > 0)
       stats::Statistics::global().add(
           "server.check.warm_speedup_pct.c" + std::to_string(Clients),
           uint64_t(100 * ColdP50 / WarmP50));

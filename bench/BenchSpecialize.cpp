@@ -8,8 +8,8 @@
 /// \file
 /// Measures what whole-program specialization (-O2, systemf/Specialize.h)
 /// buys over the baseline -O1 pipeline on the paper's dictionary-heavy
-/// loop shapes, across all three execution backends (tree / closure /
-/// vm).  Two workloads:
+/// loop shapes, on both in-process execution backends (tree / vm).
+/// Two workloads:
 ///
 ///   dict-accumulate : Figure 5's accumulate where the monoid members
 ///     are *lambda* witnesses — -O1 cannot beta-reduce the impure
@@ -95,7 +95,8 @@ std::string modelLookupProgram(unsigned N) {
 /// level, and prepared for repeated execution on every backend.
 class SpecSuite {
 public:
-  SpecSuite(const std::string &Source, sf::SpecializeLevel Level) {
+  SpecSuite(const std::string &Source, sf::SpecializeLevel Level)
+      : Level(Level) {
     Out = FE.compile("bench.fg", Source);
     if (!Out.Success) {
       Error = Out.ErrorMessage;
@@ -109,28 +110,24 @@ public:
       Error = "optimization failed";
       return;
     }
-    RunOut = Out;
-    RunOut.SfTerm = Opt;
-    Compiled = sf::CompiledTerm::compile(Opt, FE.getPrelude(), &Error);
-    if (Compiled)
-      Chunk = vm::compile(Opt, FE.getPrelude(), &Error);
+    Chunk = vm::compile(Opt, FE.getPrelude(), &Error);
   }
 
-  bool ok() const { return Out.Success && Compiled && Chunk; }
+  bool ok() const { return Out.Success && Chunk; }
   const std::string &error() const { return Error; }
 
-  sf::EvalResult runTree() { return FE.run(RunOut); }
-  sf::EvalResult runClosure() { return Compiled->run(); }
-  sf::EvalResult runVm() {
+  sf::EvalResult runOnTree() {
+    return FE.run(Out, {.Level = RunLevel::at(Level)});
+  }
+  sf::EvalResult runOnVm() {
     vm::VM M;
     return M.run(Chunk);
   }
 
 private:
   Frontend FE;
+  sf::SpecializeLevel Level;
   CompileOutput Out;
-  CompileOutput RunOut;
-  std::unique_ptr<sf::CompiledTerm> Compiled;
   std::shared_ptr<const vm::Chunk> Chunk;
   std::string Error;
 };
@@ -156,49 +153,37 @@ void runSpec(benchmark::State &State, const std::string &Source,
 
 static void BM_SpecDictAccumTreeO1(benchmark::State &State) {
   runSpec(State, dictAccumulateProgram(State.range(0)),
-          sf::SpecializeLevel::Off, &SpecSuite::runTree);
+          sf::SpecializeLevel::Off, &SpecSuite::runOnTree);
 }
 BENCHMARK(BM_SpecDictAccumTreeO1)->Arg(256)->Arg(1024);
 
 static void BM_SpecDictAccumTreeO2(benchmark::State &State) {
   runSpec(State, dictAccumulateProgram(State.range(0)),
-          sf::SpecializeLevel::Full, &SpecSuite::runTree);
+          sf::SpecializeLevel::Full, &SpecSuite::runOnTree);
 }
 BENCHMARK(BM_SpecDictAccumTreeO2)->Arg(256)->Arg(1024);
 
-static void BM_SpecDictAccumClosureO1(benchmark::State &State) {
-  runSpec(State, dictAccumulateProgram(State.range(0)),
-          sf::SpecializeLevel::Off, &SpecSuite::runClosure);
-}
-BENCHMARK(BM_SpecDictAccumClosureO1)->Arg(256)->Arg(1024);
-
-static void BM_SpecDictAccumClosureO2(benchmark::State &State) {
-  runSpec(State, dictAccumulateProgram(State.range(0)),
-          sf::SpecializeLevel::Full, &SpecSuite::runClosure);
-}
-BENCHMARK(BM_SpecDictAccumClosureO2)->Arg(256)->Arg(1024);
-
 static void BM_SpecDictAccumVmO1(benchmark::State &State) {
   runSpec(State, dictAccumulateProgram(State.range(0)),
-          sf::SpecializeLevel::Off, &SpecSuite::runVm);
+          sf::SpecializeLevel::Off, &SpecSuite::runOnVm);
 }
 BENCHMARK(BM_SpecDictAccumVmO1)->Arg(256)->Arg(1024);
 
 static void BM_SpecDictAccumVmO2(benchmark::State &State) {
   runSpec(State, dictAccumulateProgram(State.range(0)),
-          sf::SpecializeLevel::Full, &SpecSuite::runVm);
+          sf::SpecializeLevel::Full, &SpecSuite::runOnVm);
 }
 BENCHMARK(BM_SpecDictAccumVmO2)->Arg(256)->Arg(1024);
 
 static void BM_SpecModelLookupVmO1(benchmark::State &State) {
   runSpec(State, modelLookupProgram(State.range(0)),
-          sf::SpecializeLevel::Off, &SpecSuite::runVm);
+          sf::SpecializeLevel::Off, &SpecSuite::runOnVm);
 }
 BENCHMARK(BM_SpecModelLookupVmO1)->Arg(256)->Arg(1024);
 
 static void BM_SpecModelLookupVmO2(benchmark::State &State) {
   runSpec(State, modelLookupProgram(State.range(0)),
-          sf::SpecializeLevel::Full, &SpecSuite::runVm);
+          sf::SpecializeLevel::Full, &SpecSuite::runOnVm);
 }
 BENCHMARK(BM_SpecModelLookupVmO2)->Arg(256)->Arg(1024);
 
@@ -236,9 +221,7 @@ void recordSpeedupSummary() {
     sf::EvalResult (SpecSuite::*Run)();
     double RatioSum = 0;
     int Workloads = 0;
-  } Rows[] = {{"tree", &SpecSuite::runTree},
-              {"closure", &SpecSuite::runClosure},
-              {"vm", &SpecSuite::runVm}};
+  } Rows[] = {{"tree", &SpecSuite::runOnTree}, {"vm", &SpecSuite::runOnVm}};
 
   for (const std::string &Source :
        {dictAccumulateProgram(N), modelLookupProgram(N)}) {
@@ -248,7 +231,7 @@ void recordSpeedupSummary() {
       continue;
     // Both pipelines must agree on the value before being compared on
     // speed.
-    sf::EvalResult V1 = O1.runTree(), V2 = O2.runTree();
+    sf::EvalResult V1 = O1.runOnTree(), V2 = O2.runOnTree();
     if (!V1.ok() || !V2.ok() ||
         sf::valueToString(V1.Val) != sf::valueToString(V2.Val))
       continue;

@@ -6,24 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Head-to-head comparison of the three System F execution backends on
-/// BenchEval's loop workloads (the Figure 5 dictionary accumulate and
-/// the Figure 3 higher-order sum):
+/// Head-to-head comparison of the two in-process System F execution
+/// backends on BenchEval's loop workloads (the Figure 5 dictionary
+/// accumulate and the Figure 3 higher-order sum):
 ///
-///   tree    : the tree-walking evaluator (systemf/Eval.h)
-///   closure : the closure-compiling engine (systemf/Compile.h)
-///   vm      : the bytecode VM (vm/VM.h)
+///   tree : the tree-walking evaluator (systemf/Eval.h)
+///   vm   : the bytecode VM (vm/VM.h)
 ///
-/// Expected shape: vm > closure > tree in throughput, all linear in N.
+/// Expected shape: vm > tree in throughput, both linear in N.
 /// The flat bytecode wins on exactly what the tree walk pays for per
 /// node — dispatch, environment chaining, and allocation of
 /// interior environment frames.
 ///
 /// Besides the google-benchmark timings, the custom main measures the
-/// ratios directly and records them in the stats JSON as
-/// `vm.speedup_vs_tree_pct` and `vm.speedup_vs_closure_pct` (percent,
-/// so 250 means 2.5x), keeping the headline numbers comparable across
-/// PRs via the `bench-stats` trajectory.
+/// ratio directly and records it in the stats JSON as
+/// `vm.speedup_vs_tree_pct` (percent, so 250 means 2.5x), keeping the
+/// headline number comparable across PRs via the `bench-stats`
+/// trajectory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,9 +77,9 @@ std::string hofProgram(unsigned N) {
          consList(N) + ", iadd, 0)";
 }
 
-/// One program prepared for repeated execution on every backend: the
-/// closure compilation and the bytecode chunk are built once, as a real
-/// embedder would.
+/// One program prepared for repeated execution on both backends: the
+/// bytecode chunk is built once, as a real embedder would, so the VM
+/// leg times dispatch rather than emission.
 class BackendSuite {
 public:
   explicit BackendSuite(const std::string &Source) {
@@ -89,17 +88,14 @@ public:
       Error = Out.ErrorMessage;
       return;
     }
-    Compiled = sf::CompiledTerm::compile(Out.SfTerm, FE.getPrelude(), &Error);
-    if (Compiled)
-      Chunk = vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
+    Chunk = vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
   }
 
-  bool ok() const { return Out.Success && Compiled && Chunk; }
+  bool ok() const { return Out.Success && Chunk; }
   const std::string &error() const { return Error; }
 
-  sf::EvalResult runTree() { return FE.run(Out); }
-  sf::EvalResult runClosure() { return Compiled->run(); }
-  sf::EvalResult runVm() {
+  sf::EvalResult runOnTree() { return FE.run(Out); }
+  sf::EvalResult runOnVm() {
     vm::VM M;
     return M.run(Chunk);
   }
@@ -117,7 +113,6 @@ public:
 private:
   Frontend FE;
   CompileOutput Out;
-  std::unique_ptr<sf::CompiledTerm> Compiled;
   std::shared_ptr<const vm::Chunk> Chunk;
   std::string Error;
 };
@@ -141,32 +136,22 @@ void runBackend(benchmark::State &State, const std::string &Source,
 } // namespace
 
 static void BM_VmDictAccumulateTree(benchmark::State &State) {
-  runBackend(State, dictProgram(State.range(0)), &BackendSuite::runTree);
+  runBackend(State, dictProgram(State.range(0)), &BackendSuite::runOnTree);
 }
 BENCHMARK(BM_VmDictAccumulateTree)->Arg(128)->Arg(512)->Arg(1024);
 
-static void BM_VmDictAccumulateClosure(benchmark::State &State) {
-  runBackend(State, dictProgram(State.range(0)), &BackendSuite::runClosure);
-}
-BENCHMARK(BM_VmDictAccumulateClosure)->Arg(128)->Arg(512)->Arg(1024);
-
 static void BM_VmDictAccumulateVm(benchmark::State &State) {
-  runBackend(State, dictProgram(State.range(0)), &BackendSuite::runVm);
+  runBackend(State, dictProgram(State.range(0)), &BackendSuite::runOnVm);
 }
 BENCHMARK(BM_VmDictAccumulateVm)->Arg(128)->Arg(512)->Arg(1024);
 
 static void BM_VmHigherOrderSumTree(benchmark::State &State) {
-  runBackend(State, hofProgram(State.range(0)), &BackendSuite::runTree);
+  runBackend(State, hofProgram(State.range(0)), &BackendSuite::runOnTree);
 }
 BENCHMARK(BM_VmHigherOrderSumTree)->Arg(128)->Arg(512)->Arg(1024);
 
-static void BM_VmHigherOrderSumClosure(benchmark::State &State) {
-  runBackend(State, hofProgram(State.range(0)), &BackendSuite::runClosure);
-}
-BENCHMARK(BM_VmHigherOrderSumClosure)->Arg(128)->Arg(512)->Arg(1024);
-
 static void BM_VmHigherOrderSumVm(benchmark::State &State) {
-  runBackend(State, hofProgram(State.range(0)), &BackendSuite::runVm);
+  runBackend(State, hofProgram(State.range(0)), &BackendSuite::runOnVm);
 }
 BENCHMARK(BM_VmHigherOrderSumVm)->Arg(128)->Arg(512)->Arg(1024);
 
@@ -196,11 +181,11 @@ uint64_t bestOf(BackendSuite &S, sf::EvalResult (BackendSuite::*Run)(),
   return Best;
 }
 
-/// Measures the backend speedups on the two loop workloads and records
-/// them in the statistics registry, so the bench-stats JSON carries
-/// the headline ratios directly: per-workload keys
-/// (`vm.speedup_vs_tree_pct.dict` / `.hof`, likewise vs_closure), the
-/// averages under the original key names (the CI-gated trajectory),
+/// Measures the VM's speedup on the two loop workloads and records it
+/// in the statistics registry, so the bench-stats JSON carries the
+/// headline ratio directly: per-workload keys
+/// (`vm.speedup_vs_tree_pct.dict` / `.hof`), the average under the
+/// original key name (the CI-gated trajectory),
 /// and the dict workload's inline-cache hit rate
 /// (`vm.ic.hit_rate_pct`) — the dictionary-projection caches are only
 /// worth their checks if a stable-model loop hits nearly always.
@@ -213,40 +198,32 @@ void recordSpeedupSummary() {
   const Workload Workloads[] = {{"dict", dictProgram(N)},
                                 {"hof", hofProgram(N)}};
   auto &Stats = stats::Statistics::global();
-  double TreeOverVm = 0, ClosureOverVm = 0;
+  double TreeOverVm = 0;
   int Measured = 0;
   for (const Workload &W : Workloads) {
     BackendSuite S(W.Source);
     if (!S.ok())
       continue;
     for (unsigned I = 0; I < Warmup; ++I) {
-      (void)S.runTree();
-      (void)S.runClosure();
-      (void)S.runVm();
+      (void)S.runOnTree();
+      (void)S.runOnVm();
     }
-    uint64_t Tree = bestOf(S, &BackendSuite::runTree, Iters, Rounds);
-    uint64_t Closure = bestOf(S, &BackendSuite::runClosure, Iters, Rounds);
-    uint64_t Vm = bestOf(S, &BackendSuite::runVm, Iters, Rounds);
+    uint64_t Tree = bestOf(S, &BackendSuite::runOnTree, Iters, Rounds);
+    uint64_t Vm = bestOf(S, &BackendSuite::runOnVm, Iters, Rounds);
     if (Vm == 0)
       continue;
     double TreeRatio = double(Tree) / double(Vm);
-    double ClosureRatio = double(Closure) / double(Vm);
     Stats.counter(std::string("vm.speedup_vs_tree_pct.") + W.Name) =
         uint64_t(100.0 * TreeRatio);
-    Stats.counter(std::string("vm.speedup_vs_closure_pct.") + W.Name) =
-        uint64_t(100.0 * ClosureRatio);
     if (std::string(W.Name) == "dict")
       Stats.counter("vm.ic.hit_rate_pct") = S.icHitRatePct();
     TreeOverVm += TreeRatio;
-    ClosureOverVm += ClosureRatio;
     ++Measured;
   }
   if (!Measured)
     return;
   Stats.counter("vm.speedup_vs_tree_pct") =
       uint64_t(100.0 * TreeOverVm / Measured);
-  Stats.counter("vm.speedup_vs_closure_pct") =
-      uint64_t(100.0 * ClosureOverVm / Measured);
 }
 
 } // namespace

@@ -24,8 +24,6 @@
 ///   --check        stop after typechecking; print the F_G type
 ///   --translate    print the System F translation and its type
 ///   --ast          print the parsed F_G program
-///   --no-verify    skip re-checking the translation in System F
-///                  (alias for --validate=off)
 ///   --validate[=<off|translate|passes>]
 ///                  dynamic verification level: `translate` re-checks
 ///                  the translation in System F and compares its type
@@ -47,14 +45,16 @@
 ///                  whole-program specialization level on top of the
 ///                  baseline passes (systemf/Specialize.h); `-O2` is
 ///                  shorthand for `--optimize --specialize=full`
-///   --backend=<tree|closure|vm|aot>
+///   --backend=<tree|vm|aot>
 ///                  execution engine for the translation: the
-///                  tree-walking evaluator (default), the
-///                  closure-compiling engine, the bytecode VM, or the
-///                  ahead-of-time C++ transpiler (aot/Aot.h; the term
-///                  is `-O2`-specialized first unless --specialize
-///                  was given explicitly).  The registry of names
-///                  lives in support/Backends.h.
+///                  tree-walking evaluator (default), the bytecode VM,
+///                  or the ahead-of-time C++ transpiler (aot/Aot.h).
+///                  tree and vm run the raw translation; aot runs the
+///                  `-O2`-specialized term unless --specialize/-O2
+///                  pinned a level (fg::defaultRunLevel).  -O1/-O2
+///                  additionally run the optimized term on the tree
+///                  walker and cross-check the value.  The registry of
+///                  names lives in support/Backends.h.
 ///   --aot-cxx=<path>
 ///                  host C++ compiler for --backend=aot (overrides
 ///                  the $FGC_AOT_CXX/$CXX/PATH discovery ladder)
@@ -137,7 +137,6 @@ void printUsage(std::ostream &OS) {
         "  --check                stop after typechecking\n"
         "  --translate            print the System F translation\n"
         "  --ast                  print the parsed program\n"
-        "  --no-verify            skip System F re-checking\n"
         "  --validate[=<mode>]    `off`, `translate` (re-check the\n"
         "                         translation; Theorems 1/2), or `passes`\n"
         "                         (also re-typecheck each optimizer pass);\n"
@@ -162,7 +161,10 @@ void printUsage(std::ostream &OS) {
         "  --backend=<name>       execution engine for the translation;\n"
         "                         one of:\n"
      << backendHelpTable("                           ")
-     << "  --aot-cxx=<path>       host C++ compiler for --backend=aot\n"
+     << "                         tree and vm run the unoptimized term;\n"
+        "                         aot runs the -O2 term unless\n"
+        "                         --specialize/-O2 pins a level\n"
+        "  --aot-cxx=<path>       host C++ compiler for --backend=aot\n"
         "  --aot-cache=<dir>      AOT build cache directory (default\n"
         "                         ./.fgc.aot-cache or $FGC_AOT_CACHE)\n"
         "  --aot-keep-cpp         keep the generated C++ in the cache dir\n"
@@ -359,7 +361,7 @@ int fgcMain(int Argc, char **Argv) {
   bool DumpBytecode = false;
   sf::SpecializeLevel SpecLevel = sf::SpecializeLevel::Off;
   bool SpecSet = false;
-  std::string Backend = "tree";
+  Backend Engine = Backend::Tree;
   aot::ToolchainOptions AotToolchain;
   unsigned Jobs = 1;
   unsigned FuzzCount = 0;
@@ -418,8 +420,8 @@ int fgcMain(int Argc, char **Argv) {
     else if (Arg == "--no-superinstructions")
       vm::defaultEmitOptions().Superinstructions = false;
     else if (Arg.rfind("--backend=", 0) == 0) {
-      Backend = Arg.substr(std::string("--backend=").size());
-      if (!isBackendName(Backend)) {
+      if (!parseBackend(Arg.substr(std::string("--backend=").size()),
+                        Engine)) {
         std::cerr << "fgc: error: --backend must be one of "
                   << backendNameList() << "\n";
         return usageError();
@@ -438,10 +440,7 @@ int fgcMain(int Argc, char **Argv) {
       }
     } else if (Arg == "--aot-keep-cpp")
       AotToolchain.KeepCpp = true;
-    else if (Arg == "--no-verify") {
-      VMode = validate::Mode::Off;
-      VModeSet = true;
-    } else if (Arg == "--validate") {
+    else if (Arg == "--validate") {
       VMode = validate::Mode::Passes;
       VModeSet = true;
     } else if (Arg.rfind("--validate=", 0) == 0) {
@@ -605,11 +604,11 @@ int fgcMain(int Argc, char **Argv) {
     FO.ValidatePasses = !VModeSet || VMode == validate::Mode::Passes;
     FO.Specialize = SpecLevel;
     FO.Log = &std::cerr;
-    if (Backend == "aot") {
+    if (Engine == Backend::Aot) {
       // Fuzzing the AOT backend is opt-in (each program costs a host
       // compile); degrade to a notice when no toolchain exists.
       std::string WhyNot;
-      if (aot::toolchainAvailable(AotToolchain, &WhyNot)) {
+      if (backendAvailable(Engine, AotToolchain, &WhyNot)) {
         FO.IncludeAot = true;
         FO.AotToolchain = AotToolchain;
       } else {
@@ -719,38 +718,22 @@ int fgcMain(int Argc, char **Argv) {
   if (CheckOnly)
     return 0;
 
-  sf::EvalResult R;
-  if (Backend == "aot") {
-    std::string WhyNot;
-    if (!aot::toolchainAvailable(AotToolchain, &WhyNot)) {
-      std::cerr << "fgc: error: --backend=aot is unavailable: " << WhyNot
-                << "\n";
-      return 2;
-    }
-    // The AOT backend exists to measure the paper's zero-overhead
-    // claim, so it emits from the -O2-specialized term unless the user
-    // pinned a specialization level explicitly.  The Stats argument
-    // forces re-specialization at this level even if an earlier
-    // validation pass populated Out.SfOptimized at another one.
-    sf::OptimizeOptions SOpts;
-    SOpts.Specialize = SpecSet ? SpecLevel : sf::SpecializeLevel::Full;
-    sf::OptimizeStats AotStats;
-    const sf::Term *T = FE.optimize(Out, &AotStats, SOpts);
-    if (!T) {
-      std::cerr << "fgc: error: optimization failed\n";
-      return 1;
-    }
-    aot::RunInfo Info;
-    R = aot::runAot(T, FE.getPrelude(), sf::EvalOptions(), AotToolchain,
-                    &Info);
-    if (!Info.CppPath.empty())
-      std::cerr << "fgc: note: kept generated C++ at " << Info.CppPath
-                << "\n";
-  } else {
-    R = Backend == "vm"        ? FE.runVm(Out)
-        : Backend == "closure" ? FE.runCompiled(Out)
-                               : FE.run(Out);
+  std::string WhyNot;
+  if (!backendAvailable(Engine, AotToolchain, &WhyNot)) {
+    std::cerr << "fgc: error: --backend=" << backendName(Engine)
+              << " is unavailable: " << WhyNot << "\n";
+    return 2;
   }
+  // The selected engine runs its default level; only aot honours a
+  // level pinned by --specialize/-O2 (the others leave the optimized
+  // term to the tree-walker cross-check below).
+  aot::RunInfo Info;
+  RunOptions RO{.Engine = Engine, .Toolchain = AotToolchain, .AotInfo = &Info};
+  if (SpecSet && Engine == Backend::Aot)
+    RO.Level = RunLevel::at(SpecLevel);
+  sf::EvalResult R = FE.run(Out, RO);
+  if (!Info.CppPath.empty())
+    std::cerr << "fgc: note: kept generated C++ at " << Info.CppPath << "\n";
   if (!R.ok()) {
     std::cerr << "runtime error: " << R.Error << "\n";
     return 1;
@@ -782,7 +765,7 @@ int fgcMain(int Argc, char **Argv) {
                   << Stats.BudgetHits
                   << " specialization(s) (specialize.budget_hits)\n";
     }
-    sf::EvalResult O = FE.runOptimized(Out);
+    sf::EvalResult O = FE.run(Out, {.Level = RunLevel::at(SpecLevel)});
     if (!O.ok()) {
       std::cerr << "specialized evaluation error: " << O.Error << "\n";
       return 1;

@@ -84,6 +84,25 @@ bool rejectModuleHeader(const std::string &Source, const std::string &Name,
   return true;
 }
 
+/// Runs a successful compilation per \p RO into \p O's value or error.
+/// Returns false, with O.BackendUnavailable set, when the engine cannot
+/// run here; that outcome must not be cached.
+bool runOn(Frontend &FE, CompileOutput &Out, const RunOptions &RO,
+           Outcome &O) {
+  std::string WhyNot;
+  if (!backendAvailable(RO.Engine, RO.Toolchain, &WhyNot)) {
+    O.BackendUnavailable = true;
+    O.Error = WhyNot;
+    return false;
+  }
+  sf::EvalResult R = FE.run(Out, RO);
+  if (!R.ok())
+    O.Error = R.Error;
+  else
+    O.Value = sf::valueToString(R.Val);
+  return true;
+}
+
 Outcome fromArtifact(const ArtifactPtr &A) {
   Outcome O;
   O.Success = A->Success;
@@ -180,6 +199,16 @@ Outcome Session::run(const std::string &Source, const std::string &Name,
                      const std::string &Backend, int OptLevel,
                      const std::string &Path) {
   Outcome O;
+  RunOptions RO;
+  if (!parseBackend(Backend, RO.Engine)) {
+    O.Error = "unknown backend `" + Backend + "`";
+    return O;
+  }
+  // optimize > 0 pins the level on every engine; 0 leaves each engine
+  // its default (fg::defaultRunLevel).
+  if (OptLevel > 0)
+    RO.Level = RunLevel::at(OptLevel >= 2 ? sf::SpecializeLevel::Full
+                                          : sf::SpecializeLevel::Off);
   std::string KeyKind = "run:v1:" + Backend + ":" + std::to_string(OptLevel);
   CacheKey Key;
   modules::ModuleLoader::Options LO;
@@ -223,39 +252,8 @@ Outcome Session::run(const std::string &Source, const std::string &Name,
   O.Success = true;
   O.Type = typeToString(Out.FgType);
 
-  sf::EvalResult R;
-  if (Backend == "aot") {
-    std::string WhyNot;
-    if (!aot::toolchainAvailable(aot::ToolchainOptions(), &WhyNot)) {
-      O.BackendUnavailable = true;
-      O.Error = WhyNot;
-      return O; // Deliberately uncached; see Outcome::BackendUnavailable.
-    }
-    // Match the driver: the AOT backend always compiles the fully
-    // specialized term — that is the artifact whose zero-overhead
-    // claim the backend exists to measure.
-    sf::OptimizeStats Stats;
-    sf::OptimizeOptions OO;
-    OO.Specialize = sf::SpecializeLevel::Full;
-    const sf::Term *T = FE.optimize(Out, &Stats, OO);
-    R = aot::runAot(T, FE.getPrelude());
-  } else if (OptLevel > 0) {
-    sf::OptimizeOptions OO;
-    OO.Specialize = OptLevel >= 2 ? sf::SpecializeLevel::Full
-                                  : sf::SpecializeLevel::Off;
-    FE.optimize(Out, nullptr, OO);
-    R = FE.runOptimized(Out);
-  } else if (Backend == "vm") {
-    R = FE.runVm(Out);
-  } else if (Backend == "closure") {
-    R = FE.runCompiled(Out);
-  } else {
-    R = FE.run(Out);
-  }
-  if (!R.ok())
-    O.Error = R.Error;
-  else
-    O.Value = sf::valueToString(R.Val);
+  if (!runOn(FE, Out, RO, O))
+    return O; // Deliberately uncached; see Outcome::BackendUnavailable.
   Cache->put(Key, toArtifact(O));
   return O;
 }
@@ -304,6 +302,11 @@ Outcome Session::eval(const std::string &RawInput,
   stats::ScopedTimer Timer("server.eval");
   std::string Input = trim(RawInput);
   Outcome O;
+  RunOptions RO;
+  if (!parseBackend(Backend, RO.Engine)) {
+    O.Error = "unknown backend `" + Backend + "`";
+    return O;
+  }
   if (Input.empty()) {
     O.Success = true;
     return O;
@@ -319,26 +322,7 @@ Outcome Session::eval(const std::string &RawInput,
     if (Out.Success) {
       O.Success = true;
       O.Type = typeToString(Out.FgType);
-      sf::EvalResult R;
-      if (Backend == "aot") {
-        std::string WhyNot;
-        if (!aot::toolchainAvailable(aot::ToolchainOptions(), &WhyNot)) {
-          O.BackendUnavailable = true;
-          O.Error = WhyNot;
-          return O;
-        }
-        R = FE.runAot(Out);
-      } else if (Backend == "vm") {
-        R = FE.runVm(Out);
-      } else if (Backend == "closure") {
-        R = FE.runCompiled(Out);
-      } else {
-        R = FE.run(Out);
-      }
-      if (!R.ok())
-        O.Error = R.Error;
-      else
-        O.Value = sf::valueToString(R.Val);
+      runOn(FE, Out, RO, O);
       return O;
     }
     if (!DeclCandidate) {
@@ -399,11 +383,7 @@ Outcome Session::load(const std::string &Path) {
   }
   O.Success = true;
   O.Type = typeToString(Out.FgType);
-  sf::EvalResult R = FE.run(Out);
-  if (!R.ok())
-    O.Error = R.Error;
-  else
-    O.Value = sf::valueToString(R.Val);
+  runOn(FE, Out, RunOptions(), O);
 
   // ... then splice the whole closure's declaration spines into the
   // session scope, deps outermost — textual linking.

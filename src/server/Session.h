@@ -95,12 +95,13 @@ public:
   Outcome checkPath(const std::string &Path);
 
   /// Compiles and evaluates.  \p Backend is any registered backend
-  /// (tree/closure/vm/aot); \p OptLevel 0, 1 (-O1) or 2 (-O2; for the
-  /// in-process engines, 1 and 2 evaluate the optimized term on the
-  /// tree engine; aot always compiles the -O2-specialized term, like
-  /// the driver).  Cached (evaluation is deterministic — F_G is pure).
-  /// With \p Path nonempty the program is loaded from disk with
-  /// imports resolved and \p Source is ignored.
+  /// (support/Backends.h); \p OptLevel 0, 1 (-O1) or 2 (-O2).  A
+  /// nonzero level runs the optimized term on the chosen backend; 0
+  /// runs the backend's default (fg::defaultRunLevel: the raw
+  /// translation, or the -O2 term on aot).  Cached (evaluation is
+  /// deterministic — F_G is pure).  With \p Path nonempty the program
+  /// is loaded from disk with imports resolved and \p Source is
+  /// ignored.
   Outcome run(const std::string &Source, const std::string &Name,
               const std::string &Backend = "tree", int OptLevel = 0,
               const std::string &Path = "");
@@ -115,8 +116,8 @@ public:
   /// One REPL input: a top-level declaration (`let x = 5`,
   /// `model Eq<int> { ... }`, `use name`, ...) extends the session
   /// scope; anything else is evaluated as an expression in that scope
-  /// on \p Backend (any registered backend).  See docs/REPL.md for the
-  /// classification rule.
+  /// on \p Backend (any registered backend, at its default level).  See
+  /// docs/REPL.md for the classification rule.
   Outcome eval(const std::string &Input, const std::string &Backend = "tree");
 
   /// `:load`: evaluates the file (imports resolved) and splices its —

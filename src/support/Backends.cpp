@@ -13,19 +13,33 @@ namespace fg {
 
 const std::vector<BackendInfo> &backendRegistry() {
   static const std::vector<BackendInfo> Registry = {
-      {"tree", "reference tree-walking evaluator (default)"},
-      {"closure", "closure-compiling evaluator"},
-      {"vm", "bytecode virtual machine"},
-      {"aot", "ahead-of-time C++ transpiler (host toolchain required)"},
+      {Backend::Tree, "tree", "reference tree-walking evaluator (default)"},
+      {Backend::Vm, "vm", "bytecode virtual machine"},
+      {Backend::Aot, "aot",
+       "ahead-of-time C++ transpiler (host toolchain required)"},
   };
   return Registry;
 }
 
-bool isBackendName(const std::string &Name) {
+bool parseBackend(const std::string &Name, Backend &Out) {
   for (const BackendInfo &B : backendRegistry())
-    if (Name == B.Name)
+    if (Name == B.Name) {
+      Out = B.Kind;
       return true;
+    }
   return false;
+}
+
+bool isBackendName(const std::string &Name) {
+  Backend Ignored;
+  return parseBackend(Name, Ignored);
+}
+
+const char *backendName(Backend Kind) {
+  for (const BackendInfo &B : backendRegistry())
+    if (B.Kind == Kind)
+      return B.Name;
+  return "?";
 }
 
 std::string backendNameList() {

@@ -9,9 +9,11 @@
 /// The single registry of System F execution backends.  Everything that
 /// names backends — `fgc --backend=`, the `fgcd` help text, the wire
 /// protocol's `backend` parameter, and the error messages all three
-/// print — derives from this table, so adding an engine means adding
-/// one row here (plus the engine itself); DriverCliTest fails if a
-/// registered backend is missing from either binary's `--help`.
+/// print — derives from this table, and the one run dispatch
+/// (fg::runEngine, syntax/Frontend.h) switches on its Backend key, so
+/// adding an engine means adding one enumerator, one row here and one
+/// dispatch arm; DriverCliTest fails if a registered backend is missing
+/// from either binary's `--help`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +25,16 @@
 
 namespace fg {
 
+/// The System F execution engines.
+enum class Backend {
+  Tree, ///< Reference tree-walking evaluator (systemf/Eval.h).
+  Vm,   ///< Register bytecode VM (vm/VM.h).
+  Aot,  ///< Ahead-of-time C++ transpiler (aot/Aot.h).
+};
+
 /// One execution backend, as the user-facing surfaces see it.
 struct BackendInfo {
+  Backend Kind;
   const char *Name;        ///< The `--backend=` / protocol value.
   const char *Description; ///< One line for the generated help table.
 };
@@ -32,10 +42,16 @@ struct BackendInfo {
 /// Every registered backend, in presentation order (the default first).
 const std::vector<BackendInfo> &backendRegistry();
 
+/// Looks \p Name up in the registry; false when it names no backend.
+bool parseBackend(const std::string &Name, Backend &Out);
+
 /// True when \p Name names a registered backend.
 bool isBackendName(const std::string &Name);
 
-/// `tree, closure, vm, aot` — for error messages.
+/// The registry name of \p B.
+const char *backendName(Backend B);
+
+/// `tree, vm, aot` — for error messages.
 std::string backendNameList();
 
 /// The generated `--backend=` help table: one aligned

@@ -98,12 +98,41 @@ CompileOutput Frontend::compileTerm(const Term *Ast,
   return Out;
 }
 
-sf::EvalResult Frontend::run(const CompileOutput &Out,
-                             const sf::EvalOptions &Opts) {
+RunLevel fg::defaultRunLevel(Backend Engine) {
+  return Engine == Backend::Aot ? RunLevel::at(sf::SpecializeLevel::Full)
+                                : RunLevel::raw();
+}
+
+sf::EvalResult fg::runEngine(const sf::Term *T, const sf::Prelude &P,
+                             const RunOptions &Opts) {
+  switch (Opts.Engine) {
+  case Backend::Tree:
+    return sf::Evaluator(Opts.Eval).eval(T, P.Values);
+  case Backend::Vm:
+    return vm::runTerm(T, P, Opts.Eval);
+  case Backend::Aot:
+    return aot::runAot(T, P, Opts.Eval, Opts.Toolchain, Opts.AotInfo);
+  }
+  return sf::EvalResult::failure("internal error: unknown backend");
+}
+
+bool fg::backendAvailable(Backend Engine,
+                          const aot::ToolchainOptions &Toolchain,
+                          std::string *WhyNot) {
+  return Engine != Backend::Aot || aot::toolchainAvailable(Toolchain, WhyNot);
+}
+
+sf::EvalResult Frontend::run(CompileOutput &Out, const RunOptions &Opts) {
   if (!Out.Success)
     return sf::EvalResult::failure("cannot run a failed compilation");
-  sf::Evaluator E(Opts);
-  return E.eval(Out.SfTerm, ThePrelude.Values);
+  RunLevel Level = Opts.Level ? *Opts.Level : defaultRunLevel(Opts.Engine);
+  const sf::Term *T = Out.SfTerm;
+  if (Level.Optimized) {
+    sf::OptimizeOptions OO;
+    OO.Specialize = Level.Specialize;
+    T = optimize(Out, nullptr, OO);
+  }
+  return runEngine(T, ThePrelude, Opts);
 }
 
 sf::EvalResult Frontend::runProgram(const std::string &Name,
@@ -134,50 +163,14 @@ const sf::Term *Frontend::optimize(CompileOutput &Out,
                                    const sf::OptimizeOptions &Opts) {
   if (!Out.Success)
     return nullptr;
-  if (!Out.SfOptimized || Stats) {
+  if (!Out.SfOptimized || Stats ||
+      Out.SfOptimizedLevel != Opts.Specialize) {
     sf::OptimizeOptions Effective = Opts;
     if (!Effective.HoistableTyApps)
       Effective.HoistableTyApps = &preludeNames();
     Out.SfOptimized =
         sf::specialize(SfArena, SfCtx, Out.SfTerm, Effective, Stats);
+    Out.SfOptimizedLevel = Opts.Specialize;
   }
   return Out.SfOptimized;
-}
-
-sf::EvalResult Frontend::runOptimized(CompileOutput &Out,
-                                      const sf::EvalOptions &Opts) {
-  const sf::Term *T = optimize(Out);
-  if (!T)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  sf::Evaluator E(Opts);
-  return E.eval(T, ThePrelude.Values);
-}
-
-sf::EvalResult Frontend::runCompiled(const CompileOutput &Out,
-                                     const sf::EvalOptions &Opts) {
-  if (!Out.Success)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  std::string Error;
-  std::unique_ptr<sf::CompiledTerm> C =
-      sf::CompiledTerm::compile(Out.SfTerm, ThePrelude, &Error);
-  if (!C)
-    return sf::EvalResult::failure("compilation to closures failed: " +
-                                   Error);
-  return C->run(Opts);
-}
-
-sf::EvalResult Frontend::runVm(const CompileOutput &Out,
-                               const sf::EvalOptions &Opts) {
-  if (!Out.Success)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  return vm::runTerm(Out.SfTerm, ThePrelude, Opts);
-}
-
-sf::EvalResult Frontend::runAot(const CompileOutput &Out,
-                                const sf::EvalOptions &Opts,
-                                const aot::ToolchainOptions &Toolchain,
-                                aot::RunInfo *Info) {
-  if (!Out.Success)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  return aot::runAot(Out.SfTerm, ThePrelude, Opts, Toolchain, Info);
 }

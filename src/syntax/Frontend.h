@@ -16,7 +16,7 @@
 ///   fg::Frontend FE;
 ///   fg::CompileOutput Out = FE.compile("demo", Source);
 ///   if (Out.Success) {
-///     sf::EvalResult R = FE.run(Out);
+///     sf::EvalResult R = FE.run(Out, {.Engine = fg::Backend::Vm});
 ///     ... sf::valueToString(R.Val) ...
 ///   }
 /// \endcode
@@ -30,8 +30,8 @@
 #include "core/Builtins.h"
 #include "core/Check.h"
 #include "core/Interp.h"
-#include "systemf/Compile.h"
 #include "systemf/Optimize.h"
+#include "support/Backends.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 #include "syntax/Parser.h"
@@ -39,6 +39,7 @@
 #include "systemf/Eval.h"
 #include "systemf/TypeCheck.h"
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
@@ -82,10 +83,54 @@ struct CompileOutput {
   /// (module export probes).
   const sf::Type *SfExpectedType = nullptr;
   /// Specialized translation (dictionaries eliminated); populated by
-  /// Frontend::optimize().
+  /// Frontend::optimize() at SfOptimizedLevel.
   const sf::Term *SfOptimized = nullptr;
+  sf::SpecializeLevel SfOptimizedLevel = sf::SpecializeLevel::Off;
   std::string ErrorMessage;         ///< First error, empty on success.
 };
+
+/// The form of the translation an engine runs: the raw dictionary-
+/// passing translation, or the optimizer's output (systemf/Optimize.h)
+/// at a specialization level — `Off` is -O1's baseline passes, `Full`
+/// is -O2.
+struct RunLevel {
+  bool Optimized = false;
+  sf::SpecializeLevel Specialize = sf::SpecializeLevel::Off;
+
+  static RunLevel raw() { return RunLevel(); }
+  static RunLevel at(sf::SpecializeLevel L) { return {true, L}; }
+};
+
+/// The level \p Engine runs when the caller pins none.  aot runs the
+/// -O2 term: the backend exists to measure the paper's zero-overhead
+/// claim, and the specialized term is what that claim is about.  Every
+/// other engine runs the raw translation.
+RunLevel defaultRunLevel(Backend Engine);
+
+/// How Frontend::run executes a compiled program.  Every member has an
+/// initializer so designated-initializer call sites (`{.Engine = ...}`)
+/// may name only what they change.
+struct RunOptions {
+  Backend Engine = Backend::Tree;
+  /// The form of the translation to run; unset means
+  /// defaultRunLevel(Engine).
+  std::optional<RunLevel> Level = std::nullopt;
+  sf::EvalOptions Eval = {};
+  aot::ToolchainOptions Toolchain = {}; ///< Host toolchain for Backend::Aot.
+  aot::RunInfo *AotInfo = nullptr; ///< Filled by Backend::Aot when set.
+};
+
+/// The one engine dispatch: runs \p T under the builtin prelude \p P on
+/// \p Opts.Engine (Opts.Level is Frontend::run's business and ignored
+/// here).  Every engine reports values and runtime errors identically
+/// (tests/Differential.h holds them to it).
+sf::EvalResult runEngine(const sf::Term *T, const sf::Prelude &P,
+                         const RunOptions &Opts = RunOptions());
+
+/// False, with the one-line reason in \p WhyNot, when \p Engine cannot
+/// run in this environment: aot without a usable host C++ compiler.
+bool backendAvailable(Backend Engine, const aot::ToolchainOptions &Toolchain,
+                      std::string *WhyNot = nullptr);
 
 /// Owns every context needed to compile and run F_G programs.  One
 /// Frontend can compile many programs; they share builtins and interned
@@ -109,12 +154,15 @@ public:
   CompileOutput compileTerm(const Term *Ast,
                             const CompileOptions &Opts = CompileOptions());
 
-  /// Evaluates a successful compilation under the builtin prelude.
-  sf::EvalResult run(const CompileOutput &Out,
-                     const sf::EvalOptions &Opts = sf::EvalOptions());
+  /// Runs a successful compilation under the builtin prelude: picks
+  /// the term \p Opts.Level names (optimizing on demand; the optimized
+  /// term is cached in Out.SfOptimized per specialization level) and
+  /// hands it to runEngine.  Every System F run in the tools, tests
+  /// and benches goes through here.
+  sf::EvalResult run(CompileOutput &Out, const RunOptions &Opts = RunOptions());
 
-  /// Compile-and-run convenience; returns a failure EvalResult carrying
-  /// the first diagnostic if compilation fails.
+  /// Compile-and-run convenience on the tree walker; returns a failure
+  /// EvalResult carrying the first diagnostic if compilation fails.
   sf::EvalResult runProgram(const std::string &Name,
                             const std::string &Source);
 
@@ -127,40 +175,13 @@ public:
 
   /// Specializes the translation (systemf/Optimize.h): instantiates
   /// type applications, inlines dictionaries, folds member-access
-  /// projections.  Stores and returns Out.SfOptimized.
+  /// projections.  Stores and returns Out.SfOptimized, reusing it when
+  /// it was built at the same specialization level and no \p Stats
+  /// are asked for.
   const sf::Term *optimize(CompileOutput &Out,
                            sf::OptimizeStats *Stats = nullptr,
                            const sf::OptimizeOptions &Opts =
                                sf::OptimizeOptions());
-
-  /// Evaluates the specialized translation (optimizing on demand).
-  sf::EvalResult runOptimized(CompileOutput &Out,
-                              const sf::EvalOptions &Opts =
-                                  sf::EvalOptions());
-
-  /// Evaluates via the closure-compiling engine (systemf/Compile.h):
-  /// compiles the translation once, then executes with compile-time-
-  /// resolved variables.  Observationally equivalent to run().
-  sf::EvalResult runCompiled(const CompileOutput &Out,
-                             const sf::EvalOptions &Opts =
-                                 sf::EvalOptions());
-
-  /// Evaluates via the bytecode VM (vm/VM.h): compiles the translation
-  /// to a flat chunk, then runs the dispatch loop.  Observationally
-  /// equivalent to run(); the `--backend=vm` driver path.
-  sf::EvalResult runVm(const CompileOutput &Out,
-                       const sf::EvalOptions &Opts = sf::EvalOptions());
-
-  /// Evaluates ahead-of-time (aot/Aot.h): transpiles the translation
-  /// to C++, compiles it with the host toolchain under the build
-  /// cache, and runs the binary.  Observationally equivalent to run();
-  /// the `--backend=aot` driver path.  Fails with an `aot:`-prefixed
-  /// message when no host compiler is available.
-  sf::EvalResult runAot(const CompileOutput &Out,
-                        const sf::EvalOptions &Opts = sf::EvalOptions(),
-                        const aot::ToolchainOptions &Toolchain =
-                            aot::ToolchainOptions(),
-                        aot::RunInfo *Info = nullptr);
 
   SourceManager &getSourceManager() { return SM; }
   DiagnosticEngine &getDiags() { return Diags; }

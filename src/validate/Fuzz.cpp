@@ -310,16 +310,20 @@ std::string checkOne(const std::string &Source, unsigned Index,
     std::string Rendered;
   };
   std::vector<Outcome> Results;
-  auto addSf = [&](const char *Name, const sf::EvalResult &R) {
+  auto addSf = [&](const char *Name, const RunOptions &RO) {
+    sf::EvalResult R = FE.run(Out, RO);
     Results.push_back(
         {Name, R.ok(), R.ok() ? sf::valueToString(R.Val) : R.Error});
   };
-  addSf("tree", FE.run(Out));
-  addSf("closure", FE.runCompiled(Out));
-  addSf("vm", FE.runVm(Out));
-  addSf("optimized", FE.runOptimized(Out));
-  if (Opts.IncludeAot)
-    addSf("aot", FE.runAot(Out, sf::EvalOptions(), Opts.AotToolchain));
+  // Every backend runs the raw translation (the AOT leg too, so it
+  // compares the tree walker's term), then the tree walker runs the
+  // term the optimizer produced above.
+  for (const BackendInfo &B : backendRegistry())
+    if (B.Kind != Backend::Aot || Opts.IncludeAot)
+      addSf(B.Name, {.Engine = B.Kind,
+                     .Level = RunLevel::raw(),
+                     .Toolchain = Opts.AotToolchain});
+  addSf("optimized", {.Level = RunLevel::at(Opts.Specialize)});
   interp::EvalResult Direct = FE.runDirect(Out);
   Results.push_back({"direct", Direct.ok(),
                      Direct.ok() ? interp::valueToString(Direct.Val)

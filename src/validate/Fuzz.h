@@ -11,8 +11,9 @@
 /// constraints, generic functions, fixpoints — and a runner that
 /// drives the whole validation surface with them: Theorems 1 and 2
 /// after Translate, per-pass re-typechecking through Optimize, and
-/// the cross-backend differential contract (tree / closure / vm must
-/// agree, and both must agree with the direct F_G interpreter).
+/// the cross-backend differential contract (every registered backend
+/// and the optimized term must agree with each other and with the
+/// direct F_G interpreter).
 ///
 /// Exposed by the driver as `fgc --fuzz N --seed S`.  Determinism is
 /// part of the contract: (Seed, Index) fully determines a program, so
@@ -73,8 +74,8 @@ std::string generateProgram(uint64_t Seed, unsigned Index);
 
 /// Generates and checks \p Opts.Count programs: compile with
 /// translation verification, optimize with per-pass validation (when
-/// ValidatePasses), then run tree/closure/vm plus the direct F_G
-/// interpreter and require identical outcomes.
+/// ValidatePasses), then run every backend, the optimized term and the
+/// direct F_G interpreter and require identical outcomes.
 FuzzResult runFuzz(const FuzzOptions &Opts);
 
 } // namespace validate

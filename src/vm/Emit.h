@@ -33,8 +33,8 @@
 /// charged — a fused instruction charges exactly the steps of the pair
 /// it replaces.
 ///
-/// An unbound name is a compile-time error (the same contract as
-/// sf::CompiledTerm::compile).
+/// An unbound name is a compile-time error: compile() returns null and
+/// names the variable, before any instruction runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +60,8 @@ struct EmitOptions {
 };
 
 /// The process-wide default used when compile() is not given explicit
-/// options (Frontend::runVm, the fuzzer, fgcd sessions).
+/// options (fg::runEngine, and through it fgc, the fuzzer and fgcd
+/// sessions).
 EmitOptions &defaultEmitOptions();
 
 /// Compiles \p T against prelude \p P.  Returns null (with \p ErrorOut

@@ -66,7 +66,11 @@ sf::EvalResult runAotSource(Frontend &FE, const std::string &Source,
   EXPECT_TRUE(Out.Success) << Out.ErrorMessage;
   if (!Out.Success)
     return sf::EvalResult::failure(Out.ErrorMessage);
-  return FE.runAot(Out, Opts, Toolchain, Info);
+  return FE.run(Out, {.Engine = Backend::Aot,
+                      .Level = RunLevel::raw(),
+                      .Eval = Opts,
+                      .Toolchain = Toolchain,
+                      .AotInfo = Info});
 }
 
 TEST(AotValueTest, RenderedValuesRoundTrip) {
@@ -200,8 +204,9 @@ TEST(AotExecTest, StepLimitAbortMatchesTreeByteForByte) {
   Frontend FE;
   CompileOutput Out = FE.compile("aot-test.fg", Diverge);
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
-  sf::EvalResult Tree = FE.run(Out, Opts);
-  sf::EvalResult Aot = FE.runAot(Out, Opts);
+  sf::EvalResult Tree = FE.run(Out, {.Eval = Opts});
+  sf::EvalResult Aot = FE.run(
+      Out, {.Engine = Backend::Aot, .Level = RunLevel::raw(), .Eval = Opts});
   ASSERT_FALSE(Tree.ok());
   ASSERT_FALSE(Aot.ok());
   EXPECT_EQ(Tree.Error, Aot.Error);
@@ -218,8 +223,9 @@ TEST(AotExecTest, DepthLimitAbortMatchesTreeByteForByte) {
   Frontend FE;
   CompileOutput Out = FE.compile("aot-test.fg", Diverge);
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
-  sf::EvalResult Tree = FE.run(Out, Opts);
-  sf::EvalResult Aot = FE.runAot(Out, Opts);
+  sf::EvalResult Tree = FE.run(Out, {.Eval = Opts});
+  sf::EvalResult Aot = FE.run(
+      Out, {.Engine = Backend::Aot, .Level = RunLevel::raw(), .Eval = Opts});
   ASSERT_FALSE(Tree.ok());
   ASSERT_FALSE(Aot.ok());
   EXPECT_EQ(Tree.Error, Aot.Error);
@@ -239,20 +245,21 @@ TEST(AotExecTest, DepthLimitAbortMatchesTreeByteForByte) {
 //    reference accounting does, with the identical diagnostic — the
 //    staircase adjudication inside a coalesced segment must pick the
 //    same limit the tree evaluator would have tripped first.
-//  * across all four backends, abort *diagnostics* are byte-identical:
-//    the closure and VM engines charge per executed operation of their
-//    own compiled forms (their thresholds differ by design), but a
+//  * across all backends, abort *diagnostics* are byte-identical: the
+//    VM charges per executed operation of its own compiled form (its
+//    thresholds differ by design), but a
 //    program that exhausts a limit must report the same error string
 //    everywhere — Differential.h asserts that at every point where all
 //    backends abort.
 
 /// Runs tree and AOT at the given limits and EXPECTs identical
 /// outcomes, success or abort.  Returns the tree outcome.
-sf::EvalResult expectTreeAotParity(Frontend &FE, const CompileOutput &Out,
+sf::EvalResult expectTreeAotParity(Frontend &FE, CompileOutput &Out,
                                    const sf::EvalOptions &Opts,
                                    const std::string &Context) {
-  sf::EvalResult Tree = FE.run(Out, Opts);
-  sf::EvalResult Aot = FE.runAot(Out, Opts);
+  sf::EvalResult Tree = FE.run(Out, {.Eval = Opts});
+  sf::EvalResult Aot = FE.run(
+      Out, {.Engine = Backend::Aot, .Level = RunLevel::raw(), .Eval = Opts});
   EXPECT_EQ(Tree.ok(), Aot.ok())
       << Context << ": tree " << (Tree.ok() ? "succeeded" : Tree.Error)
       << " but aot " << (Aot.ok() ? "succeeded" : Aot.Error);
@@ -365,9 +372,9 @@ TEST(AotAbortParityTest, DivergingProgramAbortsIdenticallyOnAllBackends) {
   SKIP_WITHOUT_TOOLCHAIN();
   // A diverging loop exhausts whichever limit binds first on *every*
   // backend; the rendered diagnostics must be byte-identical across
-  // all four, at step-bound and depth-bound points alike (the
-  // closure/VM engines count their own operations, so the points are
-  // chosen so each backend is certain to abort).
+  // all of them, at step-bound and depth-bound points alike (the VM
+  // counts its own operations, so the points are chosen so each
+  // backend is certain to abort).
   const std::string Src =
       "let loop = fix (fun(f : fn(int) -> int). fun(n : int). f(n)) in\n"
       "loop(0)";
@@ -422,13 +429,11 @@ TEST(AotExecTest, SpecializedTermRunsIdentically) {
   sf::EvalResult Tree = FE.run(Out);
   ASSERT_TRUE(Tree.ok()) << Tree.Error;
 
-  sf::OptimizeOptions OO;
-  OO.Specialize = sf::SpecializeLevel::Full;
-  sf::OptimizeStats Stats;
-  const sf::Term *T = FE.optimize(Out, &Stats, OO);
-  ASSERT_NE(T, nullptr);
-  sf::EvalResult Aot = aot::runAot(T, FE.getPrelude());
+  // aot's default level is the -O2 term (fg::defaultRunLevel).
+  sf::EvalResult Aot = FE.run(Out, {.Engine = Backend::Aot});
   ASSERT_TRUE(Aot.ok()) << Aot.Error;
+  ASSERT_NE(Out.SfOptimized, nullptr);
+  EXPECT_EQ(Out.SfOptimizedLevel, sf::SpecializeLevel::Full);
   EXPECT_EQ(sf::valueToString(Tree.Val), sf::valueToString(Aot.Val));
 }
 

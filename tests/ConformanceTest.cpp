@@ -13,7 +13,7 @@
 // Programs without EXPECT-ERROR are additionally required to verify in
 // System F (Theorems 1/2), to produce the same value under the direct
 // interpreter, and to behave identically on every execution backend
-// (tree / closure / vm — see Differential.h), whether they produce a
+// (tree / vm / aot — see Differential.h), whether they produce a
 // value or a runtime error.
 //
 //===----------------------------------------------------------------------===//

@@ -7,16 +7,16 @@
 ///
 /// \file
 /// The differential-testing contract for execution backends: any
-/// compiled program, run through every System F engine — the
-/// tree-walking evaluator (systemf/Eval.h), the closure-compiling
-/// engine (systemf/Compile.h), and the bytecode VM (vm/VM.h) — must
-/// produce the identical outcome: the same printed value on success,
-/// or the same error string on failure (including the EvalOptions
-/// step/depth abort diagnostics).
+/// compiled program, run through every registered System F engine
+/// (support/Backends.h) — the tree-walking evaluator, the bytecode VM
+/// and, with a host compiler, the AOT transpiler — must produce the
+/// identical outcome: the same printed value on success, or the same
+/// error string on failure (including the EvalOptions step/depth abort
+/// diagnostics).
 ///
 /// ConformanceTest routes the whole corpus through here and VmTest
 /// adds the examples and limit cases, so a future backend gets
-/// coverage by adding one line to backends() below.
+/// coverage by joining the registry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 #include "aot/Toolchain.h"
 #include "syntax/Frontend.h"
 #include <cstdio>
-#include <functional>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -40,45 +39,21 @@ struct BackendOutcome {
   std::string Rendered; ///< Printed value when Ok, error otherwise.
 };
 
-/// One registered execution backend.
-struct Backend {
-  std::string Name;
-  std::function<fg::sf::EvalResult(fg::Frontend &, const fg::CompileOutput &,
-                                   const fg::sf::EvalOptions &)>
-      Run;
-};
-
-/// Every System F execution backend.  New engines join the differential
-/// contract by being added here.  The AOT backend needs a host C++
-/// compiler; when none is available it is skipped with a one-time
-/// notice rather than failing the whole suite (CI without a toolchain
-/// still verifies the in-process engines).
-inline const std::vector<Backend> &backends() {
-  static const std::vector<Backend> All = [] {
-    std::vector<Backend> Engines = {
-        {"tree",
-         [](fg::Frontend &FE, const fg::CompileOutput &Out,
-            const fg::sf::EvalOptions &Opts) { return FE.run(Out, Opts); }},
-        {"closure",
-         [](fg::Frontend &FE, const fg::CompileOutput &Out,
-            const fg::sf::EvalOptions &Opts) {
-           return FE.runCompiled(Out, Opts);
-         }},
-        {"vm",
-         [](fg::Frontend &FE, const fg::CompileOutput &Out,
-            const fg::sf::EvalOptions &Opts) { return FE.runVm(Out, Opts); }},
-    };
-    std::string WhyNot;
-    if (fg::aot::toolchainAvailable(fg::aot::ToolchainOptions(), &WhyNot))
-      Engines.push_back(
-          {"aot", [](fg::Frontend &FE, const fg::CompileOutput &Out,
-                     const fg::sf::EvalOptions &Opts) {
-             return FE.runAot(Out, Opts);
-           }});
-    else
-      std::fprintf(stderr,
-                   "differential: skipping the aot backend: %s\n",
-                   WhyNot.c_str());
+/// Every registered backend that can run here.  The AOT backend needs
+/// a host C++ compiler; when none is available it is skipped with a
+/// one-time notice rather than failing the whole suite (CI without a
+/// toolchain still verifies the in-process engines).
+inline const std::vector<fg::BackendInfo> &backends() {
+  static const std::vector<fg::BackendInfo> All = [] {
+    std::vector<fg::BackendInfo> Engines;
+    for (const fg::BackendInfo &B : fg::backendRegistry()) {
+      std::string WhyNot;
+      if (fg::backendAvailable(B.Kind, fg::aot::ToolchainOptions(), &WhyNot))
+        Engines.push_back(B);
+      else
+        std::fprintf(stderr, "differential: skipping the %s backend: %s\n",
+                     B.Name, WhyNot.c_str());
+    }
     return Engines;
   }();
   return All;
@@ -103,9 +78,13 @@ inline std::vector<BackendOutcome>
 runAllBackends(fg::Frontend &FE, const fg::CompileOutput &Out,
                const fg::sf::EvalOptions &Opts = fg::sf::EvalOptions(),
                const std::string &Context = std::string()) {
+  // Every engine runs the term as given: the raw level pins the AOT leg
+  // to the same term as the tree walker.
+  fg::CompileOutput Run = Out;
   std::vector<BackendOutcome> Results;
-  for (const Backend &B : backends()) {
-    fg::sf::EvalResult R = B.Run(FE, Out, Opts);
+  for (const fg::BackendInfo &B : backends()) {
+    fg::sf::EvalResult R = FE.run(
+        Run, {.Engine = B.Kind, .Level = fg::RunLevel::raw(), .Eval = Opts});
     Results.push_back(
         {B.Name, R.ok(),
          R.ok() ? fg::sf::valueToString(R.Val) : R.Error});

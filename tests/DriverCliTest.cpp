@@ -136,12 +136,17 @@ TEST(DriverCliTest, FgcdHelpListsEveryRegisteredBackend) {
 }
 
 TEST(DriverCliTest, UnknownBackendNamesTheRegistry) {
-  std::string Err;
-  int Code = capture("echo 1 | " + std::string(FG_FGC_PATH) +
-                         " --backend=bogus - 2>&1 1>/dev/null",
-                     Err);
-  EXPECT_EQ(Code, 2);
-  EXPECT_NE(Err.find(fg::backendNameList()), std::string::npos) << Err;
+  // `closure` named the deleted closure-compiling engine; it is now as
+  // unknown as any other name.
+  for (const char *Name : {"bogus", "closure"}) {
+    std::string Err;
+    int Code = capture("echo 1 | " + std::string(FG_FGC_PATH) +
+                           " --backend=" + Name + " - 2>&1 1>/dev/null",
+                       Err);
+    EXPECT_EQ(Code, 2) << Name;
+    EXPECT_NE(Err.find(fg::backendNameList()), std::string::npos) << Err;
+    EXPECT_NE(Err.find("tree, vm, aot"), std::string::npos) << Err;
+  }
 }
 
 // Graceful degradation: no usable host compiler is not a crash and not

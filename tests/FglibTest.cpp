@@ -16,7 +16,7 @@
 // These tests are the library's conformance contract:
 //
 //   * whole-program link runs identically on every execution backend
-//     (tree / closure / vm, plus aot when a host toolchain exists);
+//     (tree / vm, plus aot when a host toolchain exists);
 //   * -O2 whole-program specialization preserves the value and keeps
 //     the term well-typed after every pass;
 //   * the batch checker compiles all 21 modules separately against

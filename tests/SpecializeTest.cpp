@@ -72,7 +72,7 @@ void specializeAndCheck(const std::string &Source, sf::SpecializeLevel Level,
   EXPECT_EQ(SpecTy, Out.SfType) << "specialization changed the program type";
 
   sf::EvalResult Before = FE.run(Out);
-  sf::EvalResult After = FE.runOptimized(Out);
+  sf::EvalResult After = FE.run(Out, {.Level = RunLevel::at(Level)});
   ASSERT_EQ(Before.ok(), After.ok()) << Before.Error << " / " << After.Error;
   if (Before.ok())
     EXPECT_EQ(sf::valueToString(Before.Val), sf::valueToString(After.Val));

@@ -48,41 +48,33 @@ inline RunResult runFg(const std::string &Source) {
   else
     R.Error = E.Error;
 
-  // Specialization must not change the observable outcome.
-  fg::sf::EvalResult O = FE.runOptimized(Out);
-  EXPECT_EQ(E.ok(), O.ok())
-      << "specializer changed success/failure: " << E.Error << " vs "
-      << O.Error << "\nprogram:\n"
-      << Source;
-  if (E.ok() && O.ok())
-    EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(O.Val))
-        << "specializer changed the value of:\n"
+  // Specialization must not change the observable outcome, and the
+  // bytecode VM must agree on the raw translation, including on
+  // runtime errors.
+  struct Leg {
+    const char *What;
+    fg::RunOptions Opts;
+  };
+  const Leg Legs[] = {
+      {"specializer",
+       {.Level = fg::RunLevel::at(fg::sf::SpecializeLevel::Off)}},
+      {"vm backend", {.Engine = fg::Backend::Vm}},
+  };
+  for (const Leg &L : Legs) {
+    fg::sf::EvalResult O = FE.run(Out, L.Opts);
+    EXPECT_EQ(E.ok(), O.ok())
+        << L.What << " changed success/failure: " << E.Error << " vs "
+        << O.Error << "\nprogram:\n"
         << Source;
-
-  // The closure-compiling engine must agree as well.
-  fg::sf::EvalResult C = FE.runCompiled(Out);
-  EXPECT_EQ(E.ok(), C.ok())
-      << "compiled engine changed success/failure: " << E.Error << " vs "
-      << C.Error << "\nprogram:\n"
-      << Source;
-  if (E.ok() && C.ok())
-    EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(C.Val))
-        << "compiled engine changed the value of:\n"
-        << Source;
-
-  // And the bytecode VM, including on runtime errors.
-  fg::sf::EvalResult V = FE.runVm(Out);
-  EXPECT_EQ(E.ok(), V.ok())
-      << "vm backend changed success/failure: " << E.Error << " vs "
-      << V.Error << "\nprogram:\n"
-      << Source;
-  if (E.ok() && V.ok())
-    EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(V.Val))
-        << "vm backend changed the value of:\n"
-        << Source;
-  else if (!E.ok() && !V.ok())
-    EXPECT_EQ(E.Error, V.Error) << "vm backend changed the error of:\n"
-                                << Source;
+    if (E.ok() && O.ok()) {
+      EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(O.Val))
+          << L.What << " changed the value of:\n"
+          << Source;
+    } else if (!E.ok() && !O.ok()) {
+      EXPECT_EQ(E.Error, O.Error) << L.What << " changed the error of:\n"
+                                  << Source;
+    }
+  }
   return R;
 }
 

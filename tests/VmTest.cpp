@@ -10,16 +10,15 @@
 //    unbound-name rejection, disassembler output;
 //  * limit enforcement — the sf::EvalOptions step/depth aborts must
 //    fire with exactly the tree evaluator's diagnostics, on every
-//    backend (the divergence tests run all three);
+//    registered backend;
 //  * observational equivalence — every conformance program and shipped
-//    example must produce identical outcomes on tree/closure/vm
+//    example must produce identical outcomes on every backend
 //    (Differential.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "Differential.h"
 #include "syntax/Frontend.h"
-#include "systemf/Compile.h"
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
 #include "vm/VM.h"
@@ -67,35 +66,23 @@ protected:
     return A.makeApp(Loop, {A.makeIntLit(0)});
   }
 
-  /// Runs \p T on every System F engine with \p O and EXPECTs one
+  /// Runs \p T on every registered backend with \p O and EXPECTs one
   /// identical failure message containing \p ExpectedSubstr.  The AOT
   /// backend joins whenever a host compiler is available: the compiled
   /// program must re-raise the exact step/depth diagnostics at the
   /// exact same charge points.
   void expectUniformAbort(const Term *T, const EvalOptions &O,
                           const std::string &ExpectedSubstr) {
-    Evaluator Tree(O);
-    EvalResult RT = Tree.eval(T, ThePrelude.Values);
-    std::string Error;
-    std::unique_ptr<CompiledTerm> CT =
-        CompiledTerm::compile(T, ThePrelude, &Error);
-    ASSERT_NE(CT, nullptr) << Error;
-    EvalResult RC = CT->run(O);
-    EvalResult RV = vm::runTerm(T, ThePrelude, O);
-    auto Check = [&](const char *Name, const EvalResult &R) {
-      EXPECT_FALSE(R.ok()) << Name << " backend did not abort";
+    EvalResult RT = fg::runEngine(T, ThePrelude, {.Eval = O});
+    for (const fg::BackendInfo &B : fg::backendRegistry()) {
+      if (!fg::backendAvailable(B.Kind, fg::aot::ToolchainOptions()))
+        continue;
+      EvalResult R =
+          fg::runEngine(T, ThePrelude, {.Engine = B.Kind, .Eval = O});
+      EXPECT_FALSE(R.ok()) << B.Name << " backend did not abort";
       EXPECT_NE(R.Error.find(ExpectedSubstr), std::string::npos)
-          << Name << " backend aborted with: " << R.Error;
-    };
-    Check("tree", RT);
-    Check("closure", RC);
-    Check("vm", RV);
-    EXPECT_EQ(RT.Error, RC.Error);
-    EXPECT_EQ(RT.Error, RV.Error);
-    if (fg::aot::toolchainAvailable()) {
-      EvalResult RA = fg::aot::runAot(T, ThePrelude, O);
-      Check("aot", RA);
-      EXPECT_EQ(RT.Error, RA.Error);
+          << B.Name << " backend aborted with: " << R.Error;
+      EXPECT_EQ(RT.Error, R.Error) << B.Name;
     }
   }
 
@@ -185,8 +172,7 @@ TEST_F(VmTest, LetShadowingResolvesToInnermostBinding) {
 }
 
 TEST_F(VmTest, DuplicateParameterNamesLastWins) {
-  // Matches the tree evaluator and the closure engine (pinned by
-  // CompiledEvalTest.DuplicateParameterNamesLastWins).
+  // Matches the tree evaluator, which binds left to right.
   const Type *I = Ctx.getIntType();
   const Term *T =
       A.makeApp(A.makeAbs({{"x", I}, {"x", I}}, A.makeVar("x")),
@@ -802,4 +788,43 @@ TEST(VmDifferential, RuntimeErrorProgramFailsIdentically) {
   std::vector<fgtest::BackendOutcome> R =
       fgtest::runAllBackends(FE, Out, EvalOptions(), "car_nil.fg");
   EXPECT_FALSE(R.front().Ok);
+}
+
+TEST(VmDifferential, FrameAndScopeShapesAgreeOnAllBackends) {
+  // Slot resolution, parameter shadowing across live frames, a long
+  // let spine, closures capturing distinct frames, recursion through
+  // fix, and type application at a structured type.
+  std::string DeepLets = "let x0 = 1 in\n";
+  for (int I = 1; I < 100; ++I)
+    DeepLets += "let x" + std::to_string(I) + " = iadd(x" +
+                std::to_string(I - 1) + ", 1) in\n";
+  DeepLets += "x99";
+  const std::pair<std::string, std::string> Cases[] = {
+      {"(fun(a : int, b : int, c : int). isub(iadd(a, c), b))(10, 3, 5)",
+       "12"},
+      {"(fun(x : int). (fun(x : int). imult(x, 2))(iadd(x, 1)))(20)", "42"},
+      {DeepLets, "100"},
+      {"let make = fun(n : int). fun(x : int). iadd(n, x) in "
+       "let add5 = make(5) in let add7 = make(7) in (add5(1), add7(1))",
+       "(6, 8)"},
+      {"(fix (fun(f : fn(int) -> int). fun(n : int). "
+       "if ile(n, 1) then 1 else imult(n, f(isub(n, 1)))))(6)",
+       "720"},
+      {"(forall t. fun(x : t). x)[list int](cons[int](3, nil[int]))", "[3]"},
+  };
+  for (const auto &[Source, Value] : Cases)
+    EXPECT_EQ(fgtest::runDifferential(Source), Value) << Source;
+}
+
+TEST_F(VmTest, OneChunkRunsManyTimes) {
+  // A compiled chunk is immutable and VM::run resets the machine, so
+  // one VM re-running one chunk yields the same value every time.
+  auto C = compileChunk(
+      A.makeApp(A.makeVar("iadd"), {A.makeIntLit(40), A.makeIntLit(2)}));
+  vm::VM M(Opts);
+  for (int I = 0; I < 3; ++I) {
+    EvalResult R = M.run(C);
+    ASSERT_TRUE(R.ok()) << R.Error;
+    EXPECT_EQ(valueToString(R.Val), "42");
+  }
 }
