@@ -21,15 +21,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Options.h"
 #include "server/Repl.h"
 #include "server/Server.h"
 #include "support/Backends.h"
-#include "support/Stats.h"
+#include "support/DeepStack.h"
 #include <csignal>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <string>
 
 using namespace fg;
 
@@ -73,30 +70,6 @@ int usageError() {
   return 2;
 }
 
-/// Same exit-path statistics emission discipline as fgc (Main.cpp).
-struct StatsReporter {
-  bool Human = false;
-  std::string JsonPath;
-
-  ~StatsReporter() {
-    const stats::Statistics &S = stats::Statistics::global();
-    if (Human)
-      S.print(std::cerr);
-    if (JsonPath.empty())
-      return;
-    if (JsonPath == "-") {
-      S.printJson(std::cout);
-      return;
-    }
-    std::ofstream Out(JsonPath);
-    if (!Out)
-      std::cerr << "fgcd: warning: cannot write stats to `" << JsonPath
-                << "`\n";
-    else
-      S.printJson(Out);
-  }
-};
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -105,14 +78,12 @@ int main(int Argc, char **Argv) {
   unsigned Threads = 0;
   size_t CacheEntries = 4096;
   std::vector<std::string> SearchPaths;
-  StatsReporter Reporter;
+  StatsReporter Reporter("fgcd");
 
   for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--socket" || Arg.rfind("--socket=", 0) == 0) {
-      std::string Value = Arg == "--socket"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--socket=").size());
+    std::string Arg = Argv[I], Value;
+    unsigned long long N;
+    if (optionValue(Arg, "--socket", true, I, Argc, Argv, Value)) {
       if (Value.empty()) {
         std::cerr << "fgcd: error: --socket requires a path\n";
         return usageError();
@@ -122,34 +93,21 @@ int main(int Argc, char **Argv) {
       Stdio = true;
     else if (Arg == "--repl")
       Repl = true;
-    else if (Arg == "--threads" || Arg.rfind("--threads=", 0) == 0) {
-      std::string Value = Arg == "--threads"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--threads=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
+    else if (optionValue(Arg, "--threads", true, I, Argc, Argv, Value)) {
+      if (!parseNumber(Value, N)) {
         std::cerr << "fgcd: error: --threads requires a number\n";
         return usageError();
       }
       Threads = static_cast<unsigned>(N);
-    } else if (Arg == "--cache-entries" ||
-               Arg.rfind("--cache-entries=", 0) == 0) {
-      std::string Value =
-          Arg == "--cache-entries"
-              ? (I + 1 < Argc ? Argv[++I] : "")
-              : Arg.substr(std::string("--cache-entries=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
+    } else if (optionValue(Arg, "--cache-entries", true, I, Argc, Argv,
+                           Value)) {
+      if (!parseNumber(Value, N) || N == 0) {
         std::cerr << "fgcd: error: --cache-entries requires a positive "
                      "number\n";
         return usageError();
       }
       CacheEntries = static_cast<size_t>(N);
-    } else if (Arg == "-I" || Arg.rfind("-I", 0) == 0) {
-      std::string Value = Arg == "-I" ? (I + 1 < Argc ? Argv[++I] : "")
-                                      : Arg.substr(2);
+    } else if (optionValue(Arg, "-I", true, I, Argc, Argv, Value)) {
       if (Value.empty()) {
         std::cerr << "fgcd: error: -I requires a directory\n";
         return usageError();
@@ -157,8 +115,8 @@ int main(int Argc, char **Argv) {
       SearchPaths.push_back(Value);
     } else if (Arg == "--stats")
       Reporter.Human = true;
-    else if (Arg.rfind("--stats-json=", 0) == 0) {
-      Reporter.JsonPath = Arg.substr(std::string("--stats-json=").size());
+    else if (optionValue(Arg, "--stats-json", false, I, Argc, Argv,
+                         Reporter.JsonPath)) {
       if (Reporter.JsonPath.empty()) {
         std::cerr << "fgcd: error: --stats-json= requires a file name\n";
         return usageError();
@@ -182,16 +140,15 @@ int main(int Argc, char **Argv) {
   server::Session::Options SO;
   SO.SearchPaths = SearchPaths;
 
-  if (Stdio || Repl) {
-    auto Cache = std::make_shared<server::ArtifactCache>(CacheEntries);
-    server::Session S(Cache, SO);
-    if (Repl) {
-      server::ReplOptions RO;
-      return server::runRepl(S, std::cin, std::cout, RO);
-    }
-    server::serveStream(S, std::cin, std::cout);
-    return 0;
-  }
+  if (Stdio || Repl)
+    return runOnDeepStack([&] {
+      auto Cache = std::make_shared<server::ArtifactCache>(CacheEntries);
+      server::Session S(Cache, SO);
+      if (Repl)
+        return server::runRepl(S, std::cin, std::cout, server::ReplOptions());
+      server::serveStream(S, std::cin, std::cout);
+      return 0;
+    });
 
   server::ServerOptions Opts;
   Opts.SocketPath = SocketPath;

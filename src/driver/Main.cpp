@@ -20,110 +20,23 @@
 /// independent modules across a thread pool; a directory argument means
 /// every `.fg` file in it.
 ///
-/// Options:
-///   --check        stop after typechecking; print the F_G type
-///   --translate    print the System F translation and its type
-///   --ast          print the parsed F_G program
-///   --validate[=<off|translate|passes>]
-///                  dynamic verification level: `translate` re-checks
-///                  the translation in System F and compares its type
-///                  against the F_G type's image (Theorems 1 and 2);
-///                  `passes` additionally re-typechecks every
-///                  optimizer pass's output, attributing a failure to
-///                  the pass by name.  Bare `--validate` means
-///                  `passes`.  Defaults to `translate` in debug
-///                  builds and `off` in release builds.
-///   --fuzz <n>     generate <n> seeded well-typed programs and drive
-///                  the full validation surface with them (no input
-///                  file is read; see validate/Fuzz.h)
-///   --seed <n>     base seed for --fuzz / --gen-corpus (default 42)
-///   --direct       evaluate with the direct F_G interpreter instead of
-///                  the System F translation (and cross-check the two)
-///   --optimize     also specialize the translation (dictionary
-///                  elimination), print it, and cross-check its value
-///   --specialize[=off|apps|dicts|full]
-///                  whole-program specialization level on top of the
-///                  baseline passes (systemf/Specialize.h); `-O2` is
-///                  shorthand for `--optimize --specialize=full`
-///   --backend=<tree|vm|aot>
-///                  execution engine for the translation: the
-///                  tree-walking evaluator (default), the bytecode VM,
-///                  or the ahead-of-time C++ transpiler (aot/Aot.h).
-///                  tree and vm run the raw translation; aot runs the
-///                  `-O2`-specialized term unless --specialize/-O2
-///                  pinned a level (fg::defaultRunLevel).  -O1/-O2
-///                  additionally run the optimized term on the tree
-///                  walker and cross-check the value.  The registry of
-///                  names lives in support/Backends.h.
-///   --aot-cxx=<path>
-///                  host C++ compiler for --backend=aot (overrides
-///                  the $FGC_AOT_CXX/$CXX/PATH discovery ladder)
-///   --aot-cache=<dir>
-///                  AOT build cache directory (default
-///                  ./.fgc.aot-cache, or $FGC_AOT_CACHE)
-///   --aot-keep-cpp keep the generated C++ in the cache dir and print
-///                  its path
-///   --dump-bytecode
-///                  print the VM bytecode for the translation
-///                  (vm/Disasm.h) and continue
-///   --no-superinstructions
-///                  disable the VM's peephole superinstruction fusion
-///                  for the whole process (for A/B comparison; values,
-///                  errors, and abort points must be identical)
-///   --batch        separately check modules; write `.fgi` interfaces
-///   --gen-corpus <n>
-///                  generate a seeded, deterministic corpus of <n>
-///                  well-typed modules into --out (corpus/Corpus.h);
-///                  same seed and knobs => byte-identical files
-///   --out <dir>    output directory for --gen-corpus
-///   --corpus-shape=<layered|chain|fanin>
-///                  dependency-graph silhouette (default layered)
-///   --corpus-layers=<n>
-///                  layer count for the layered shape (0 = auto)
-///   --corpus-max-imports=<n>
-///                  max direct imports per module (layered shape)
-///   --corpus-diamond=<pct>
-///                  share of import edges reaching past the previous
-///                  layer, which is what creates diamonds
-///   -j <n>         batch worker threads (0 = all hardware threads)
-///   -I <dir>       add a module search path (repeatable)
-///   --module-cache=<dir>
-///                  write/read `.fgi` interfaces in <dir> instead of
-///                  next to each source file
-///   --no-cache     ignore existing `.fgi` files; recheck everything
-///   --stats        print compiler statistics (phase timings, counter
-///                  values, cache hit rates) to stderr on exit
-///   --stats-json=<file>
-///                  also write the statistics as JSON to <file>
-///                  (`-` for stdout)
-///   --no-model-cache
-///                  disable the checker's model-resolution and
-///                  congruence-query caches (for A/B comparison; the
-///                  result must be identical either way)
+/// The options are documented once, in printUsage() (`fgc --help`).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "driver/Options.h"
 #include "modules/Batch.h"
-#include "modules/Loader.h"
+#include "modules/Program.h"
 #include "support/Backends.h"
-#include "support/Stats.h"
-#include "syntax/Frontend.h"
+#include "support/DeepStack.h"
 #include "validate/Fuzz.h"
 #include "validate/Validate.h"
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
 #include <algorithm>
-#include <cstdio>
-#if defined(__unix__) || defined(__APPLE__)
-#include <pthread.h>
-#endif
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <sstream>
-#include <string>
 
 using namespace fg;
 
@@ -196,32 +109,6 @@ int usageError() {
   printUsage(std::cerr);
   return 2;
 }
-
-/// Emits the accumulated statistics per the --stats/--stats-json flags.
-/// Runs on every exit path once requested, so failed compilations still
-/// report (that is when the numbers are most interesting).
-struct StatsReporter {
-  bool Human = false;
-  std::string JsonPath;
-
-  ~StatsReporter() {
-    const stats::Statistics &S = stats::Statistics::global();
-    if (Human)
-      S.print(std::cerr);
-    if (JsonPath.empty())
-      return;
-    if (JsonPath == "-") {
-      S.printJson(std::cout);
-      return;
-    }
-    std::ofstream Out(JsonPath);
-    if (!Out)
-      std::cerr << "fgc: warning: cannot write stats to `" << JsonPath
-                << "`\n";
-    else
-      S.printJson(Out);
-  }
-};
 
 /// Expands batch path arguments: a directory stands for every `.fg`
 /// file directly inside it, sorted by name.
@@ -380,10 +267,11 @@ int fgcMain(int Argc, char **Argv) {
   unsigned GenCorpus = 0;
   std::string CorpusOut;
   CompileOptions Opts;
-  StatsReporter Reporter;
+  StatsReporter Reporter("fgc");
 
   for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+    std::string Arg = Argv[I], Value;
+    unsigned long long N;
     if (Arg == "--check")
       CheckOnly = true;
     else if (Arg == "--translate")
@@ -402,8 +290,8 @@ int fgcMain(int Argc, char **Argv) {
       Optimize = true;
       SpecLevel = sf::SpecializeLevel::Full;
       SpecSet = true;
-    } else if (Arg.rfind("--specialize=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--specialize=").size());
+    } else if (optionValue(Arg, "--specialize", false, I, Argc, Argv,
+                           Value)) {
       if (!sf::parseSpecializeLevel(Value, SpecLevel)) {
         std::cerr << "fgc: error: --specialize must be one of off, apps, "
                      "dicts, full\n";
@@ -419,21 +307,20 @@ int fgcMain(int Argc, char **Argv) {
       DumpBytecode = true;
     else if (Arg == "--no-superinstructions")
       vm::defaultEmitOptions().Superinstructions = false;
-    else if (Arg.rfind("--backend=", 0) == 0) {
-      if (!parseBackend(Arg.substr(std::string("--backend=").size()),
-                        Engine)) {
+    else if (optionValue(Arg, "--backend", false, I, Argc, Argv, Value)) {
+      if (!parseBackend(Value, Engine)) {
         std::cerr << "fgc: error: --backend must be one of "
                   << backendNameList() << "\n";
         return usageError();
       }
-    } else if (Arg.rfind("--aot-cxx=", 0) == 0) {
-      AotToolchain.Cxx = Arg.substr(std::string("--aot-cxx=").size());
+    } else if (optionValue(Arg, "--aot-cxx", false, I, Argc, Argv,
+                           AotToolchain.Cxx)) {
       if (AotToolchain.Cxx.empty()) {
         std::cerr << "fgc: error: --aot-cxx= requires a compiler path\n";
         return usageError();
       }
-    } else if (Arg.rfind("--aot-cache=", 0) == 0) {
-      AotToolchain.CacheDir = Arg.substr(std::string("--aot-cache=").size());
+    } else if (optionValue(Arg, "--aot-cache", false, I, Argc, Argv,
+                           AotToolchain.CacheDir)) {
       if (AotToolchain.CacheDir.empty()) {
         std::cerr << "fgc: error: --aot-cache= requires a directory\n";
         return usageError();
@@ -443,89 +330,62 @@ int fgcMain(int Argc, char **Argv) {
     else if (Arg == "--validate") {
       VMode = validate::Mode::Passes;
       VModeSet = true;
-    } else if (Arg.rfind("--validate=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--validate=").size());
+    } else if (optionValue(Arg, "--validate", false, I, Argc, Argv, Value)) {
       if (!validate::parseMode(Value, VMode)) {
         std::cerr << "fgc: error: --validate must be one of off, "
                      "translate, passes\n";
         return usageError();
       }
       VModeSet = true;
-    } else if (Arg == "--fuzz" || Arg.rfind("--fuzz=", 0) == 0) {
-      std::string Value = Arg == "--fuzz"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--fuzz=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
+    } else if (optionValue(Arg, "--fuzz", true, I, Argc, Argv, Value)) {
+      if (!parseNumber(Value, N) || N == 0) {
         std::cerr << "fgc: error: --fuzz requires a positive number\n";
         return usageError();
       }
       FuzzCount = static_cast<unsigned>(N);
-    } else if (Arg == "--seed" || Arg.rfind("--seed=", 0) == 0) {
-      std::string Value = Arg == "--seed"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--seed=").size());
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
+    } else if (optionValue(Arg, "--seed", true, I, Argc, Argv, Value)) {
+      if (!parseNumber(Value, N)) {
         std::cerr << "fgc: error: --seed requires a number\n";
         return usageError();
       }
       FuzzSeed = N;
-    }
-    else if (Arg == "--gen-corpus" || Arg.rfind("--gen-corpus=", 0) == 0) {
-      std::string Value =
-          Arg == "--gen-corpus"
-              ? (I + 1 < Argc ? Argv[++I] : "")
-              : Arg.substr(std::string("--gen-corpus=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
+    } else if (optionValue(Arg, "--gen-corpus", true, I, Argc, Argv, Value)) {
+      if (!parseNumber(Value, N) || N == 0) {
         std::cerr << "fgc: error: --gen-corpus requires a positive "
                      "module count\n";
         return usageError();
       }
       GenCorpus = static_cast<unsigned>(N);
-    } else if (Arg == "--out" || Arg.rfind("--out=", 0) == 0) {
-      CorpusOut = Arg == "--out" ? (I + 1 < Argc ? Argv[++I] : "")
-                                 : Arg.substr(std::string("--out=").size());
+    } else if (optionValue(Arg, "--out", true, I, Argc, Argv, CorpusOut)) {
       if (CorpusOut.empty()) {
         std::cerr << "fgc: error: --out requires a directory\n";
         return usageError();
       }
-    } else if (Arg.rfind("--corpus-shape=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--corpus-shape=").size());
+    } else if (optionValue(Arg, "--corpus-shape", false, I, Argc, Argv,
+                           Value)) {
       if (!corpus::parseShape(Value, CorpusOpts.GraphShape)) {
         std::cerr << "fgc: error: --corpus-shape must be one of layered, "
                      "chain, fanin\n";
         return usageError();
       }
-    } else if (Arg.rfind("--corpus-layers=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--corpus-layers=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
+    } else if (optionValue(Arg, "--corpus-layers", false, I, Argc, Argv,
+                           Value)) {
+      if (!parseNumber(Value, N)) {
         std::cerr << "fgc: error: --corpus-layers requires a number\n";
         return usageError();
       }
       CorpusOpts.Layers = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--corpus-max-imports=", 0) == 0) {
-      std::string Value =
-          Arg.substr(std::string("--corpus-max-imports=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
+    } else if (optionValue(Arg, "--corpus-max-imports", false, I, Argc, Argv,
+                           Value)) {
+      if (!parseNumber(Value, N) || N == 0) {
         std::cerr << "fgc: error: --corpus-max-imports requires a "
                      "positive number\n";
         return usageError();
       }
       CorpusOpts.MaxImports = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--corpus-diamond=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--corpus-diamond=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N > 100) {
+    } else if (optionValue(Arg, "--corpus-diamond", false, I, Argc, Argv,
+                           Value)) {
+      if (!parseNumber(Value, N) || N > 100) {
         std::cerr << "fgc: error: --corpus-diamond requires a percentage "
                      "(0-100)\n";
         return usageError();
@@ -533,33 +393,27 @@ int fgcMain(int Argc, char **Argv) {
       CorpusOpts.DiamondPct = static_cast<unsigned>(N);
     } else if (Arg == "--stats")
       Reporter.Human = true;
-    else if (Arg.rfind("--stats-json=", 0) == 0) {
-      Reporter.JsonPath = Arg.substr(std::string("--stats-json=").size());
+    else if (optionValue(Arg, "--stats-json", false, I, Argc, Argv,
+                         Reporter.JsonPath)) {
       if (Reporter.JsonPath.empty()) {
         std::cerr << "fgc: error: --stats-json= requires a file name\n";
         return usageError();
       }
-    } else if (Arg.rfind("--module-cache=", 0) == 0) {
-      CacheDir = Arg.substr(std::string("--module-cache=").size());
+    } else if (optionValue(Arg, "--module-cache", false, I, Argc, Argv,
+                           CacheDir)) {
       if (CacheDir.empty()) {
         std::cerr << "fgc: error: --module-cache= requires a directory\n";
         return usageError();
       }
     } else if (Arg == "--no-model-cache")
       Opts.EnableModelCache = false;
-    else if (Arg == "-j" || Arg.rfind("-j", 0) == 0) {
-      std::string Value = Arg == "-j" ? (I + 1 < Argc ? Argv[++I] : "")
-                                      : Arg.substr(2);
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
+    else if (optionValue(Arg, "-j", true, I, Argc, Argv, Value)) {
+      if (!parseNumber(Value, N)) {
         std::cerr << "fgc: error: -j requires a number\n";
         return usageError();
       }
       Jobs = static_cast<unsigned>(N);
-    } else if (Arg == "-I" || Arg.rfind("-I", 0) == 0) {
-      std::string Value = Arg == "-I" ? (I + 1 < Argc ? Argv[++I] : "")
-                                      : Arg.substr(2);
+    } else if (optionValue(Arg, "-I", true, I, Argc, Argv, Value)) {
       if (Value.empty()) {
         std::cerr << "fgc: error: -I requires a directory\n";
         return usageError();
@@ -644,55 +498,34 @@ int fgcMain(int Argc, char **Argv) {
     Source = SS.str();
   }
 
-  Frontend FE;
-  CompileOutput Out;
-
   // A file with a module header routes through the loader: imports are
   // resolved and the graph is linked into one program, which then flows
   // through the same pipeline as a plain file.
-  ModuleHeader Header;
-  std::string HeaderError;
-  bool IsModule = false;
-  if (Path != "-") {
-    if (!modules::ModuleLoader::scanHeader(Path, Source, Header,
-                                           HeaderError)) {
-      std::cerr << "fgc: error: " << HeaderError << "\n";
-      return 1;
-    }
-    IsModule = Header.HasModuleDecl || !Header.Imports.empty();
+  modules::Program Prog =
+      Path == "-" ? modules::Program("<stdin>", Source,
+                                     modules::Program::Headers::Ignore)
+                  : modules::Program(Path, Source,
+                                     modules::Program::Headers::Resolve,
+                                     SearchPaths);
+  std::string Error;
+  if (Prog.open(Error) != modules::Program::Status::Ok) {
+    std::cerr << "fgc: error: " << Error << "\n";
+    return 1;
   }
-  if (IsModule) {
-    modules::ModuleLoader::Options LO;
-    LO.SearchPaths = SearchPaths;
-    modules::ModuleLoader Loader(LO);
-    std::string Root, Error;
-    if (!Loader.loadFile(Path, Root, Error)) {
-      std::cerr << "fgc: error: " << Error << "\n";
-      return 1;
-    }
-    const Term *Program = Loader.link(FE, Root, Error);
-    if (!Program) {
-      std::cerr << "fgc: error: " << Error << "\n";
-      std::cerr << FE.getDiags().render();
-      return 1;
-    }
-    Out = FE.compileTerm(Program, Opts);
-  } else {
-    Out = FE.compile(Path == "-" ? "<stdin>" : Path, Source, Opts);
-  }
+  Frontend FE;
+  CompileOutput Out = Prog.compile(FE, Opts);
   if (!Out.Success) {
+    if (!Prog.linkError().empty())
+      std::cerr << "fgc: error: " << Prog.linkError() << "\n";
     std::cerr << FE.getDiags().render();
     return 1;
   }
+  // Validation rides on the one optimizer run that every later use of
+  // the optimized term (aot, the -O report, the cross-check) reuses.
   if (VMode == validate::Mode::Passes) {
-    validate::Validator V(FE.getSfContext(), FE.getPrelude().Types);
-    sf::OptimizeOptions VOpts;
-    VOpts.Specialize = SpecLevel;
-    VOpts.PassHook = V.passHook(Out.SfType);
-    sf::OptimizeStats VStats;
-    FE.optimize(Out, &VStats, VOpts);
-    if (V.failed()) {
-      std::cerr << "fgc: " << V.error() << "\n";
+    std::string Failure = validate::optimizeCheckingPasses(FE, Out, SpecLevel);
+    if (!Failure.empty()) {
+      std::cerr << "fgc: " << Failure << "\n";
       return 1;
     }
   }
@@ -704,7 +537,6 @@ int fgcMain(int Argc, char **Argv) {
       std::cout << "systemf-type: " << sf::typeToString(Out.SfType) << "\n";
   }
   if (DumpBytecode) {
-    std::string Error;
     std::shared_ptr<const vm::Chunk> Chunk =
         vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
     if (!Chunk) {
@@ -744,9 +576,8 @@ int fgcMain(int Argc, char **Argv) {
     sf::OptimizeStats Stats;
     sf::OptimizeOptions SOpts;
     SOpts.Specialize = SpecLevel;
-    FE.optimize(Out, &Stats, SOpts);
-    std::cout << "specialized: " << sf::termToString(Out.SfOptimized)
-              << "\n";
+    std::cout << "specialized: "
+              << sf::termToString(FE.optimize(Out, &Stats, SOpts)) << "\n";
     std::cout << "  (nodes " << Stats.NodesBefore << " -> "
               << Stats.NodesAfter << ", " << Stats.TypeAppsInlined
               << " instantiations, " << Stats.LetsInlined
@@ -796,36 +627,5 @@ int fgcMain(int Argc, char **Argv) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-#if defined(__unix__) || defined(__APPLE__)
-  // Corpus-scale inputs recurse proportionally to program depth: a
-  // 10k-module import chain links into a let spine tens of thousands
-  // of levels deep, and the parser, checker, translator and
-  // tree-walking evaluator all walk it recursively.  The default 8 MiB
-  // main-thread stack overflows around that scale, so the driver runs
-  // on a thread with a deep (lazily committed) stack instead.
-  pthread_attr_t Attr;
-  if (pthread_attr_init(&Attr) == 0) {
-    struct Args {
-      int Argc;
-      char **Argv;
-      int Ret;
-    } A{Argc, Argv, 1};
-    pthread_t Tid;
-    if (pthread_attr_setstacksize(&Attr, size_t(512) << 20) == 0 &&
-        pthread_create(
-            &Tid, &Attr,
-            [](void *P) -> void * {
-              Args *A = static_cast<Args *>(P);
-              A->Ret = fgcMain(A->Argc, A->Argv);
-              return nullptr;
-            },
-            &A) == 0) {
-      pthread_join(Tid, nullptr);
-      pthread_attr_destroy(&Attr);
-      return A.Ret;
-    }
-    pthread_attr_destroy(&Attr);
-  }
-#endif
-  return fgcMain(Argc, Argv);
+  return runOnDeepStack([&] { return fgcMain(Argc, Argv); });
 }

@@ -65,6 +65,10 @@ void printOutcome(std::ostream &Out, const Outcome &O) {
       Out << "error: compilation failed\n";
     return;
   }
+  if (!O.Error.empty()) { // Compiled, then failed at runtime.
+    Out << "error: " << O.Error << "\n";
+    return;
+  }
   if (O.IsDecl) {
     Out << "defined " << O.DeclKind;
     if (!O.DeclName.empty())

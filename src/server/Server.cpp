@@ -7,6 +7,7 @@
 
 #include "server/Server.h"
 #include "server/Protocol.h"
+#include "support/DeepStack.h"
 #include "support/Stats.h"
 #include <cerrno>
 #include <cstring>
@@ -78,7 +79,12 @@ bool Server::start(std::string &Error) {
   Started = true;
   Stopping = false;
   for (unsigned I = 0; I < Opts.Threads; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+    Workers.emplace_back([this] {
+      runOnDeepStack([this] {
+        workerLoop();
+        return 0;
+      });
+    });
   Acceptor = std::thread([this] { acceptLoop(); });
   return true;
 }

@@ -6,14 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Session.h"
-#include "modules/Loader.h"
+#include "modules/Program.h"
 #include "support/Stats.h"
-#include "syntax/Frontend.h"
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
 #include <cctype>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 using namespace fg;
 using namespace fg::server;
@@ -63,27 +61,6 @@ std::string trim(const std::string &S) {
   return S.substr(B, E - B + 1);
 }
 
-/// Rejects sources with a module header on source-text requests
-/// (imports need a filesystem anchor; the `path` request form has
-/// one).  Returns false with \p Out filled in when rejected.
-bool rejectModuleHeader(const std::string &Source, const std::string &Name,
-                        Outcome &Out) {
-  ModuleHeader Header;
-  std::string Error;
-  if (!modules::ModuleLoader::scanHeader(Name, Source, Header, Error)) {
-    Out.Success = false;
-    Out.Diagnostics = Error + "\n";
-    return false;
-  }
-  if (Header.HasModuleDecl || !Header.Imports.empty()) {
-    Out.Success = false;
-    Out.Error = "source has a module header; submit it as a file via the "
-                "`path` parameter so imports can be resolved";
-    return false;
-  }
-  return true;
-}
-
 /// Runs a successful compilation per \p RO into \p O's value or error.
 /// Returns false, with O.BackendUnavailable set, when the engine cannot
 /// run here; that outcome must not be cached.
@@ -103,29 +80,6 @@ bool runOn(Frontend &FE, CompileOutput &Out, const RunOptions &RO,
   return true;
 }
 
-Outcome fromArtifact(const ArtifactPtr &A) {
-  Outcome O;
-  O.Success = A->Success;
-  O.Cached = true;
-  O.Type = A->Type;
-  O.Value = A->Value;
-  O.Bytecode = A->Bytecode;
-  O.Diagnostics = A->Diagnostics;
-  O.Error = A->Error;
-  return O;
-}
-
-ArtifactPtr toArtifact(const Outcome &O) {
-  auto A = std::make_shared<Artifact>();
-  A->Success = O.Success;
-  A->Type = O.Type;
-  A->Value = O.Value;
-  A->Bytecode = O.Bytecode;
-  A->Diagnostics = O.Diagnostics;
-  A->Error = O.Error;
-  return A;
-}
-
 } // namespace
 
 Session::Session(std::shared_ptr<ArtifactCache> Cache, Options Opts)
@@ -133,168 +87,120 @@ Session::Session(std::shared_ptr<ArtifactCache> Cache, Options Opts)
   stats::Statistics::global().add("server.sessions.opened");
 }
 
-Outcome Session::checkImpl(const std::string &Source, const std::string &Name,
-                           const std::string &KeyKind, uint64_t Salt) {
-  CacheKey Key = ArtifactCache::key(KeyKind, Source, Salt);
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.check");
+Outcome Session::compiled(modules::Program &P, const char *KeyKind,
+                          const char *TimerName, const Tail &Finish) {
   Outcome O;
+  std::string Error;
+  switch (P.open(Error)) {
+  case modules::Program::Status::Ok:
+    break;
+  case modules::Program::Status::BadHeader:
+    O.Diagnostics = Error + "\n";
+    return O;
+  case modules::Program::Status::Refused:
+    O.Error = "source has a module header; submit it as a file via the "
+              "`path` parameter so imports can be resolved";
+    return O;
+  case modules::Program::Status::LoadFailed:
+    O.Error = Error;
+    return O;
+  }
+
+  // A path's key covers its entire import cone, so an edit in any
+  // imported file invalidates — the same discipline as `.fgi` interface
+  // hashes.
+  std::optional<CacheKey> Key;
+  if (KeyKind) {
+    Key = P.linked() ? ArtifactCache::key(KeyKind, "", P.contentHash())
+                     : ArtifactCache::key(KeyKind, P.source());
+    if (ArtifactPtr A = Cache->get(*Key)) {
+      static_cast<Artifact &>(O) = *A;
+      O.Cached = true;
+      return O;
+    }
+  }
+
+  stats::ScopedTimer Timer(TimerName);
   Frontend FE;
-  CompileOutput Out = FE.compile(Name, Source);
+  CompileOutput Out = P.compile(FE);
   O.Success = Out.Success;
-  if (Out.Success)
+  if (!Out.Success) {
+    if (!P.linkError().empty())
+      O.Diagnostics = P.linkError() + "\n";
+    O.Diagnostics += FE.getDiags().render();
+  } else {
     O.Type = typeToString(Out.FgType);
-  else
-    O.Diagnostics = FE.getDiags().render();
-  Cache->put(Key, toArtifact(O));
+    if (Finish && !Finish(FE, Out, O))
+      return O;
+  }
+  if (Key)
+    Cache->put(*Key, std::make_shared<Artifact>(O));
   return O;
 }
 
 Outcome Session::check(const std::string &Source, const std::string &Name) {
-  Outcome Rejected;
-  if (!rejectModuleHeader(Source, Name, Rejected))
-    return Rejected;
-  return checkImpl(Source, Name, "check:v1", 0);
+  modules::Program P(Name, Source, modules::Program::Headers::Reject);
+  return compiled(P, "check:v1", "server.check");
 }
 
 Outcome Session::checkPath(const std::string &Path) {
-  modules::ModuleLoader::Options LO;
-  LO.SearchPaths = Opts.SearchPaths;
-  modules::ModuleLoader Loader(LO);
-  std::string Root;
-  Outcome O;
-  if (!Loader.loadFile(Path, Root, O.Error))
-    return O;
-
-  // The key covers the entire import cone, so an edit in any imported
-  // file invalidates — the same discipline as `.fgi` interface hashes.
-  CacheKey Key =
-      ArtifactCache::key("check-path:v1", "", Loader.contentHash(Root));
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.check");
-  Frontend FE;
-  std::string Error;
-  const Term *Program = Loader.link(FE, Root, Error);
-  if (!Program) {
-    O.Success = false;
-    O.Diagnostics = Error + "\n" + FE.getDiags().render();
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  CompileOutput Out = FE.compileTerm(Program);
-  O.Success = Out.Success;
-  if (Out.Success)
-    O.Type = typeToString(Out.FgType);
-  else
-    O.Diagnostics = FE.getDiags().render();
-  Cache->put(Key, toArtifact(O));
-  return O;
+  modules::Program P = modules::Program::file(Path, Opts.SearchPaths);
+  return compiled(P, "check:v1", "server.check");
 }
 
 Outcome Session::run(const std::string &Source, const std::string &Name,
                      const std::string &Backend, int OptLevel,
                      const std::string &Path) {
-  Outcome O;
   RunOptions RO;
   if (!parseBackend(Backend, RO.Engine)) {
+    Outcome O;
     O.Error = "unknown backend `" + Backend + "`";
     return O;
   }
   // optimize > 0 pins the level on every engine; 0 leaves each engine
-  // its default (fg::defaultRunLevel).
-  if (OptLevel > 0)
-    RO.Level = RunLevel::at(OptLevel >= 2 ? sf::SpecializeLevel::Full
-                                          : sf::SpecializeLevel::Off);
-  std::string KeyKind = "run:v1:" + Backend + ":" + std::to_string(OptLevel);
-  CacheKey Key;
-  modules::ModuleLoader::Options LO;
-  LO.SearchPaths = Opts.SearchPaths;
-  modules::ModuleLoader Loader(LO);
-  std::string Root;
-  if (!Path.empty()) {
-    if (!Loader.loadFile(Path, Root, O.Error))
-      return O;
-    Key = ArtifactCache::key(KeyKind + ":path", "", Loader.contentHash(Root));
-  } else {
-    if (!rejectModuleHeader(Source, Name, O))
-      return O;
-    Key = ArtifactCache::key(KeyKind, Source, 0);
-  }
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.run");
-  Frontend FE;
-  CompileOutput Out;
-  if (!Path.empty()) {
-    std::string Error;
-    const Term *Program = Loader.link(FE, Root, Error);
-    if (!Program) {
-      O.Success = false;
-      O.Diagnostics = Error + "\n" + FE.getDiags().render();
-      Cache->put(Key, toArtifact(O));
-      return O;
-    }
-    Out = FE.compileTerm(Program);
-  } else {
-    Out = FE.compile(Name, Source);
-  }
-  if (!Out.Success) {
-    O.Success = false;
-    O.Diagnostics = FE.getDiags().render();
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-
-  if (!runOn(FE, Out, RO, O))
-    return O; // Deliberately uncached; see Outcome::BackendUnavailable.
-  Cache->put(Key, toArtifact(O));
-  return O;
+  // its default (fg::defaultRunLevel).  The key names the level that
+  // runs, so requests that run the same term share one entry.
+  RO.Level = OptLevel > 0 ? RunLevel::at(OptLevel >= 2
+                                             ? sf::SpecializeLevel::Full
+                                             : sf::SpecializeLevel::Off)
+                          : defaultRunLevel(RO.Engine);
+  std::string KeyKind =
+      std::string("run:v2:") + backendName(RO.Engine) + ":" +
+      (RO.Level->Optimized ? sf::specializeLevelName(RO.Level->Specialize)
+                           : "raw");
+  modules::Program P =
+      Path.empty()
+          ? modules::Program(Name, Source, modules::Program::Headers::Reject)
+          : modules::Program::file(Path, Opts.SearchPaths);
+  return compiled(P, KeyKind.c_str(), "server.run",
+                  [&](Frontend &FE, CompileOutput &Out, Outcome &O) {
+                    return runOn(FE, Out, RO, O);
+                  });
 }
 
 Outcome Session::typeOf(const std::string &Expr) {
-  return checkImpl(Decls + Expr, "<repl>", "type:v1", 0);
+  modules::Program P("<repl>", Decls + Expr,
+                     modules::Program::Headers::Ignore);
+  return compiled(P, "type:v1", "server.check");
 }
 
 Outcome Session::dumpBytecode(const std::string &Source,
                               const std::string &Name) {
-  Outcome Rejected;
-  if (!rejectModuleHeader(Source, Name, Rejected))
-    return Rejected;
-  CacheKey Key = ArtifactCache::key("bytecode:v1", Source, 0);
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.check");
-  Outcome O;
-  Frontend FE;
-  CompileOutput Out = FE.compile(Name, Source);
-  if (!Out.Success) {
-    O.Success = false;
-    O.Diagnostics = FE.getDiags().render();
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  std::string Error;
-  std::shared_ptr<const vm::Chunk> Chunk =
-      vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
-  if (!Chunk) {
-    O.Success = false;
-    O.Error = "cannot compile to bytecode: " + Error;
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-  O.Bytecode = vm::disassemble(*Chunk);
-  Cache->put(Key, toArtifact(O));
-  return O;
+  modules::Program P(Name, Source, modules::Program::Headers::Reject);
+  return compiled(P, "bytecode:v1", "server.check",
+                  [](Frontend &FE, CompileOutput &Out, Outcome &O) {
+                    std::string Error;
+                    std::shared_ptr<const vm::Chunk> Chunk =
+                        vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
+                    if (!Chunk) {
+                      O.Success = false;
+                      O.Type.clear();
+                      O.Error = "cannot compile to bytecode: " + Error;
+                    } else {
+                      O.Bytecode = vm::disassemble(*Chunk);
+                    }
+                    return true;
+                  });
 }
 
 Outcome Session::eval(const std::string &RawInput,
@@ -357,46 +263,25 @@ Outcome Session::eval(const std::string &RawInput,
 }
 
 Outcome Session::load(const std::string &Path) {
-  stats::ScopedTimer Timer("server.load");
-  Outcome O;
-  modules::ModuleLoader::Options LO;
-  LO.SearchPaths = Opts.SearchPaths;
-  modules::ModuleLoader Loader(LO);
-  std::string Root;
-  if (!Loader.loadFile(Path, Root, O.Error))
-    return O;
-
-  // Evaluate the file itself (its imports resolved) ...
-  Frontend FE;
-  std::string Error;
-  const Term *Program = Loader.link(FE, Root, Error);
-  if (!Program) {
-    O.Success = false;
-    O.Diagnostics = Error + "\n" + FE.getDiags().render();
-    return O;
-  }
-  CompileOutput Out = FE.compileTerm(Program);
-  if (!Out.Success) {
-    O.Success = false;
-    O.Diagnostics = FE.getDiags().render();
-    return O;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-  runOn(FE, Out, RunOptions(), O);
-
-  // ... then splice the whole closure's declaration spines into the
-  // session scope, deps outermost — textual linking.
-  Frontend SpineFE;
-  std::string Spine;
-  if (!Loader.spineText(SpineFE, Root, Spine, Error)) {
-    // The file ran but its declarations could not be spliced into the
-    // session scope — report failure, not a half-loaded success.
-    O.Success = false;
-    O.Error = "declarations not loaded: " + Error;
-    return O;
-  }
-  Decls += Spine;
-  stats::Statistics::global().add("server.loads");
-  return O;
+  modules::Program P = modules::Program::file(Path, Opts.SearchPaths);
+  // Evaluate the file itself (its imports resolved), uncached: the
+  // splice below must happen on every load ...
+  return compiled(P, nullptr, "server.load",
+                  [&](Frontend &FE, CompileOutput &Out, Outcome &O) {
+    runOn(FE, Out, RunOptions(), O);
+    // ... then splice the whole closure's declaration spines into the
+    // session scope, deps outermost — textual linking.
+    Frontend SpineFE;
+    std::string Spine, Error;
+    if (!P.loader().spineText(SpineFE, P.root(), Spine, Error)) {
+      // The file ran but its declarations could not be spliced into the
+      // session scope — report failure, not a half-loaded success.
+      O.Success = false;
+      O.Error = "declarations not loaded: " + Error;
+      return false;
+    }
+    Decls += Spine;
+    stats::Statistics::global().add("server.loads");
+    return false;
+  });
 }

@@ -42,26 +42,29 @@
 #define FG_SERVER_SESSION_H
 
 #include "server/ArtifactCache.h"
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace fg {
+
+class Frontend;
+struct CompileOutput;
+namespace modules {
+class Program;
+}
+
 namespace server {
 
-/// What one session request produced.  `Success` is about the
-/// *compilation*: a program that fails to typecheck yields Success =
-/// false with Diagnostics, which at the protocol layer is still a
-/// well-formed response, not a protocol error.  `Error` carries
-/// runtime/internal failures (evaluation errors, unreadable files).
-struct Outcome {
-  bool Success = false;
+/// What one session request produced: the cacheable Artifact plus
+/// per-request facts.  `Success` is about the *compilation*: a program
+/// that fails to typecheck yields Success = false with Diagnostics,
+/// which at the protocol layer is still a well-formed response, not a
+/// protocol error.  `Error` carries runtime/internal failures
+/// (evaluation errors, unreadable files).
+struct Outcome : Artifact {
   bool Cached = false;      ///< Served from the shared artifact cache.
-  std::string Type;         ///< Rendered F_G type.
-  std::string Value;        ///< Rendered value (run/eval).
-  std::string Bytecode;     ///< VM disassembly (dump-bytecode).
-  std::string Diagnostics;  ///< Rendered compile diagnostics.
-  std::string Error;        ///< Runtime / I-O error, empty otherwise.
   /// The requested backend cannot run in this environment (the AOT
   /// backend without a host C++ compiler).  Error carries the one-line
   /// reason; the protocol layer turns this into a structured
@@ -98,8 +101,9 @@ public:
   /// (support/Backends.h); \p OptLevel 0, 1 (-O1) or 2 (-O2).  A
   /// nonzero level runs the optimized term on the chosen backend; 0
   /// runs the backend's default (fg::defaultRunLevel: the raw
-  /// translation, or the -O2 term on aot).  Cached (evaluation is
-  /// deterministic — F_G is pure).  With \p Path nonempty the program
+  /// translation, or the -O2 term on aot).  Cached on the level that
+  /// runs, so requests running the same term share an entry (evaluation
+  /// is deterministic — F_G is pure).  With \p Path nonempty the program
   /// is loaded from disk with imports resolved and \p Source is
   /// ignored.
   Outcome run(const std::string &Source, const std::string &Name,
@@ -134,9 +138,18 @@ public:
   ArtifactCache &cache() { return *Cache; }
 
 private:
-  /// check() body under an explicit cache-key kind tag.
-  Outcome checkImpl(const std::string &Source, const std::string &Name,
-                    const std::string &KeyKind, uint64_t Salt);
+  /// A request's work after a successful compilation: fills in the
+  /// method's result and returns false when the outcome must not be
+  /// cached.
+  using Tail = std::function<bool(Frontend &, CompileOutput &, Outcome &)>;
+
+  /// The one request skeleton every compiling method shares: open \p P
+  /// (scan its header or load its import cone), answer from the shared
+  /// cache under \p KeyKind (never, when null), else compile in a fresh
+  /// Frontend timed as \p TimerName, cache a compile failure's
+  /// diagnostics, or hand the compilation to \p Finish.
+  Outcome compiled(modules::Program &P, const char *KeyKind,
+                   const char *TimerName, const Tail &Finish = nullptr);
 
   std::shared_ptr<ArtifactCache> Cache;
   Options Opts;

@@ -163,14 +163,16 @@ const sf::Term *Frontend::optimize(CompileOutput &Out,
                                    const sf::OptimizeOptions &Opts) {
   if (!Out.Success)
     return nullptr;
-  if (!Out.SfOptimized || Stats ||
-      Out.SfOptimizedLevel != Opts.Specialize) {
+  CompileOutput::Optimized &Slot = Out.SfOptimized[size_t(Opts.Specialize)];
+  if (!Slot.Term || Opts.PassHook || Opts.TestPass) {
     sf::OptimizeOptions Effective = Opts;
     if (!Effective.HoistableTyApps)
       Effective.HoistableTyApps = &preludeNames();
-    Out.SfOptimized =
-        sf::specialize(SfArena, SfCtx, Out.SfTerm, Effective, Stats);
-    Out.SfOptimizedLevel = Opts.Specialize;
+    Slot.Stats = sf::OptimizeStats();
+    Slot.Term =
+        sf::specialize(SfArena, SfCtx, Out.SfTerm, Effective, &Slot.Stats);
   }
-  return Out.SfOptimized;
+  if (Stats)
+    *Stats = Slot.Stats;
+  return Slot.Term;
 }

@@ -38,6 +38,7 @@
 #include "systemf/Builtins.h"
 #include "systemf/Eval.h"
 #include "systemf/TypeCheck.h"
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -82,10 +83,15 @@ struct CompileOutput {
   /// alpha-equivalence).  Null when the checker could not produce it
   /// (module export probes).
   const sf::Type *SfExpectedType = nullptr;
-  /// Specialized translation (dictionaries eliminated); populated by
-  /// Frontend::optimize() at SfOptimizedLevel.
-  const sf::Term *SfOptimized = nullptr;
-  sf::SpecializeLevel SfOptimizedLevel = sf::SpecializeLevel::Off;
+  /// Frontend::optimize()'s output per specialization level (indexed by
+  /// sf::SpecializeLevel): the specialized translation (dictionaries
+  /// eliminated) and the statistics of the one optimizer run that built
+  /// it.
+  struct Optimized {
+    const sf::Term *Term = nullptr;
+    sf::OptimizeStats Stats;
+  };
+  std::array<Optimized, size_t(sf::SpecializeLevel::Full) + 1> SfOptimized;
   std::string ErrorMessage;         ///< First error, empty on success.
 };
 
@@ -175,9 +181,12 @@ public:
 
   /// Specializes the translation (systemf/Optimize.h): instantiates
   /// type applications, inlines dictionaries, folds member-access
-  /// projections.  Stores and returns Out.SfOptimized, reusing it when
-  /// it was built at the same specialization level and no \p Stats
-  /// are asked for.
+  /// projections.  Stores the term in Out.SfOptimized at \p Opts'
+  /// specialization level and returns it, reusing a stored one (and
+  /// copying its statistics into \p Stats) — so the optimizer runs once
+  /// per compilation and level.  A call carrying a PassHook or TestPass
+  /// always runs the optimizer, since its hook must see every pass;
+  /// later calls then reuse that run.
   const sf::Term *optimize(CompileOutput &Out,
                            sf::OptimizeStats *Stats = nullptr,
                            const sf::OptimizeOptions &Opts =

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "validate/Fuzz.h"
+#include "modules/Program.h"
 #include "support/Stats.h"
-#include "syntax/Frontend.h"
 #include "validate/Validate.h"
 #include <atomic>
 #include <ostream>
@@ -285,23 +285,17 @@ std::string checkOne(const std::string &Source, unsigned Index,
                      const FuzzOptions &Opts) {
   Frontend FE;
   CompileOutput Out =
-      FE.compile("fuzz-" + std::to_string(Index) + ".fg", Source);
+      modules::Program("fuzz-" + std::to_string(Index) + ".fg", Source,
+                       modules::Program::Headers::Ignore)
+          .compile(FE);
   if (!Out.Success)
     return "compilation failed: " + Out.ErrorMessage;
-
-  {
-    // Optimize up front (at the requested specialization level) so the
-    // `optimized` backend below evaluates exactly the pipeline under
-    // test, with per-pass re-typechecking when requested.
-    Validator V(FE.getSfContext(), FE.getPrelude().Types);
-    sf::OptimizeOptions OptOpts;
-    OptOpts.Specialize = Opts.Specialize;
-    if (Opts.ValidatePasses)
-      OptOpts.PassHook = V.passHook(Out.SfType);
-    sf::OptimizeStats Stats;
-    FE.optimize(Out, &Stats, OptOpts);
-    if (V.failed())
-      return V.error();
+  // With per-pass re-typechecking, optimize up front: the `optimized`
+  // run below then evaluates exactly the validated term.
+  if (Opts.ValidatePasses) {
+    std::string Failure = optimizeCheckingPasses(FE, Out, Opts.Specialize);
+    if (!Failure.empty())
+      return Failure;
   }
 
   struct Outcome {

@@ -7,6 +7,7 @@
 
 #include "validate/Validate.h"
 #include "support/Stats.h"
+#include "syntax/Frontend.h"
 #include <atomic>
 #include <cstring>
 
@@ -231,4 +232,14 @@ Validator::passHook(const sf::Type *Expected) {
                           const sf::Term *After) {
     return checkPass(PassName, After, Expected);
   };
+}
+
+std::string validate::optimizeCheckingPasses(Frontend &FE, CompileOutput &Out,
+                                             sf::SpecializeLevel Level) {
+  Validator V(FE.getSfContext(), FE.getPrelude().Types);
+  sf::OptimizeOptions Opts;
+  Opts.Specialize = Level;
+  Opts.PassHook = V.passHook(Out.SfType);
+  FE.optimize(Out, nullptr, Opts);
+  return V.error();
 }

@@ -36,6 +36,10 @@
 #include <string_view>
 
 namespace fg {
+
+class Frontend;
+struct CompileOutput;
+
 namespace validate {
 
 /// How much of the pipeline to re-verify.
@@ -108,6 +112,14 @@ private:
   std::string Error;
   std::string FailedPass;
 };
+
+/// `--validate=passes` on the one optimizer run of a compilation:
+/// optimizes \p Out at \p Level with every changed pass re-typechecked
+/// (Frontend::optimize caches the result for every later use of the
+/// level).  Returns the validator's error, empty when every pass
+/// typechecks.
+std::string optimizeCheckingPasses(Frontend &FE, CompileOutput &Out,
+                                   sf::SpecializeLevel Level);
 
 } // namespace validate
 } // namespace fg

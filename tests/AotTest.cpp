@@ -432,8 +432,8 @@ TEST(AotExecTest, SpecializedTermRunsIdentically) {
   // aot's default level is the -O2 term (fg::defaultRunLevel).
   sf::EvalResult Aot = FE.run(Out, {.Engine = Backend::Aot});
   ASSERT_TRUE(Aot.ok()) << Aot.Error;
-  ASSERT_NE(Out.SfOptimized, nullptr);
-  EXPECT_EQ(Out.SfOptimizedLevel, sf::SpecializeLevel::Full);
+  EXPECT_NE(Out.SfOptimized[size_t(sf::SpecializeLevel::Full)].Term,
+            nullptr);
   EXPECT_EQ(sf::valueToString(Tree.Val), sf::valueToString(Aot.Val));
 }
 

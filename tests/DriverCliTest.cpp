@@ -19,11 +19,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "aot/Toolchain.h"
 #include "support/Backends.h"
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <regex>
 #include <string>
 #include <sys/wait.h>
 
@@ -255,6 +257,40 @@ TEST(DriverCliTest, BatchFailureSummaryIsDeterministicAndExitsNonzero) {
   EXPECT_EQ(R2.ExitCode, 1);
   EXPECT_EQ(R1.Stderr, R2.Stderr);
   EXPECT_EQ(R1.Stdout, R2.Stdout);
+}
+
+/// The `calls` count of stats timer \p Name in a --stats-json dump, 0
+/// when the timer is absent.
+unsigned timerCalls(const std::string &Json, const std::string &Name) {
+  std::smatch M;
+  std::regex Re("\"" + Name +
+                "\": \\{\"nanos\": \\d+, \"calls\": (\\d+)\\}");
+  return std::regex_search(Json, M, Re) ? std::stoul(M[1]) : 0;
+}
+
+/// `fgc -O2 <Extra> --validate=passes` on the fglib root: the per-pass
+/// validation checks the one optimizer run that the `-O2` report, the
+/// tree cross-check and (on aot) the executed term all reuse.
+void expectFglibSpecializesOnce(const std::string &Extra) {
+  RunResult R = runFgc("-O2 " + Extra +
+                       " --validate=passes --stats-json=- -I " FG_FGLIB_DIR
+                       " " FG_FGLIB_DIR "/fglib.fg");
+  EXPECT_EQ(R.ExitCode, 0) << R.Stderr;
+  for (const char *Line :
+       {"\nvalue: (31, 36, 7, 24, true)\n", "\nspecialized: ",
+        "\noptimized value: (31, 36, 7, 24, true)\n"})
+    EXPECT_NE(R.Stdout.find(Line), std::string::npos) << Line;
+  EXPECT_EQ(timerCalls(R.Stdout, "optimize.specialize"), 1u) << R.Stdout;
+}
+
+TEST(DriverCliTest, O2SpecializesOnceUnderPassValidation) {
+  expectFglibSpecializesOnce("");
+}
+
+TEST(DriverCliTest, O2AotSpecializesOnceUnderPassValidation) {
+  if (!fg::aot::toolchainAvailable())
+    GTEST_SKIP() << "no host C++ compiler available";
+  expectFglibSpecializesOnce("--backend=aot");
 }
 
 } // namespace

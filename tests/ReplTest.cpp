@@ -56,21 +56,33 @@ RunResult runFgcd(const std::string &Args) {
   return R;
 }
 
-/// Feeds \p Input to `fgcd --repl` and returns everything it printed.
-std::string repl(const std::string &Input) {
-  std::string Script = std::string("/tmp/fgcd_repl_in_") +
+/// Feeds \p Input to `fgcd <Args>`, appending its stdout to \p Output;
+/// returns the exit code.
+int fgcdWithInput(const std::string &Args, const std::string &Input,
+                  std::string &Output) {
+  std::string Script = std::string("/tmp/fgcd_in_") +
                        std::to_string(::getpid()) + ".txt";
   {
     std::ofstream Out(Script);
     Out << Input;
   }
-  std::string Output;
-  capture(std::string(FG_FGCD_PATH) + " --repl < " + Script +
-              " 2>/dev/null",
-          Output);
+  int Code = capture(std::string(FG_FGCD_PATH) + " " + Args + " < " +
+                         Script + " 2>/dev/null",
+                     Output);
   std::remove(Script.c_str());
+  return Code;
+}
+
+/// Feeds \p Input to `fgcd --repl` and returns everything it printed.
+std::string repl(const std::string &Input) {
+  std::string Output;
+  fgcdWithInput("--repl", Input, Output);
   return Output;
 }
+
+/// Recurses until the evaluator's depth budget runs out.
+const char *const RunawayRecursion =
+    "(fix (fun(f : fn(int) -> int). fun(x : int). f(iadd(x,1))))(0)";
 
 //===----------------------------------------------------------------------===//
 // CLI conventions (same contract DriverCliTest pins for fgc)
@@ -213,6 +225,30 @@ TEST(ReplTest, LoadFglibAndUseItsConceptStack) {
   EXPECT_NE(Out.find("10 : int"), std::string::npos) << Out;
   EXPECT_NE(Out.find("defined model by_mult"), std::string::npos) << Out;
   EXPECT_NE(Out.find("25 : int"), std::string::npos) << Out;
+}
+
+// fgcd serves requests on a stack as deep as fgc's, so a runaway
+// recursion on the default tree backend ends in the evaluator's
+// structured depth-limit error (as `fgc` reports it), not in SIGSEGV.
+TEST(FgcdCliTest, StdioRunawayRecursionIsADepthLimitError) {
+  std::string Out;
+  int Code = fgcdWithInput(
+      "--stdio",
+      std::string("{\"id\":1,\"method\":\"eval\",\"params\":{\"input\":\"") +
+          RunawayRecursion + "\"}}\n",
+      Out);
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("\"error\":\"evaluation exceeded the recursion depth "
+                     "limit\""),
+            std::string::npos)
+      << Out;
+}
+
+TEST(ReplTest, RuntimeErrorsArePrinted) {
+  std::string Out = repl(std::string(RunawayRecursion) + "\n:quit\n");
+  EXPECT_NE(Out.find("error: evaluation exceeded the recursion depth limit"),
+            std::string::npos)
+      << Out;
 }
 
 TEST(ReplTest, UnknownCommandSuggestsHelp) {

@@ -315,6 +315,22 @@ TEST(ProtocolTest, RunAndEvalOnTheAotBackend) {
   EXPECT_EQ(resultOf(R[2]).find("value")->asString(), "42");
 }
 
+TEST(ProtocolTest, AotRunCacheIsKeyedOnTheLevelThatRuns) {
+  if (!fg::aot::toolchainAvailable())
+    GTEST_SKIP() << "no host C++ compiler available";
+  // aot's default level is -O2 (fg::defaultRunLevel), so `optimize: 0`
+  // and `optimize: 2` run the same term and share one cache entry.
+  std::vector<Json> R = roundTrip({
+      "{\"id\":1,\"method\":\"run\",\"params\":"
+      "{\"source\":\"imult(6,7)\",\"backend\":\"aot\",\"optimize\":0}}",
+      "{\"id\":2,\"method\":\"run\",\"params\":"
+      "{\"source\":\"imult(6,7)\",\"backend\":\"aot\",\"optimize\":2}}",
+  });
+  EXPECT_FALSE(resultOf(R[0]).find("cached")->asBool()) << R[0].write();
+  EXPECT_TRUE(resultOf(R[1]).find("cached")->asBool()) << R[1].write();
+  EXPECT_EQ(resultOf(R[1]).find("value")->asString(), "42");
+}
+
 TEST(ProtocolTest, AotUnavailabilityIsStructuredAndUncached) {
   // Force the discovery ladder to fail: an explicit $FGC_AOT_CXX that
   // does not resolve is an error, not a fall-through.
