@@ -61,7 +61,9 @@ void printUsage(std::ostream &OS) {
         "  --seed <n>             base seed for --fuzz / --gen-corpus\n"
         "                         (default 42)\n"
         "  --direct               cross-check with the direct interpreter\n"
-        "  --optimize, -O1        optimize and cross-check the result\n"
+        "  --optimize, -O1        optimize, run the result on the selected\n"
+        "                         backend (aot: on tree) and check that\n"
+        "                         its value is unchanged\n"
         "  --specialize[=<lvl>]   whole-program specialization level on\n"
         "                         top of -O1: `off`, `apps` (clone\n"
         "                         polymorphic functions at concrete\n"
@@ -70,11 +72,14 @@ void printUsage(std::ostream &OS) {
         "                         dead dictionary params/fields); bare\n"
         "                         --specialize means `full`\n"
         "  -O2                    shorthand for --optimize\n"
-        "                         --specialize=full\n"
+        "                         --specialize=full: the check runs the\n"
+        "                         specialized term on the selected\n"
+        "                         backend\n"
         "  --backend=<name>       execution engine for the translation;\n"
         "                         one of:\n"
      << backendHelpTable("                           ")
-     << "                         tree and vm run the unoptimized term;\n"
+     << "                         tree and vm run the unoptimized term\n"
+        "                         (then, under -O, the optimized one);\n"
         "                         aot runs the -O2 term unless\n"
         "                         --specialize/-O2 pins a level\n"
         "  --aot-cxx=<path>       host C++ compiler for --backend=aot\n"
@@ -521,7 +526,7 @@ int fgcMain(int Argc, char **Argv) {
     return 1;
   }
   // Validation rides on the one optimizer run that every later use of
-  // the optimized term (aot, the -O report, the cross-check) reuses.
+  // the optimized term (aot, the -O report, the -O value check) reuses.
   if (VMode == validate::Mode::Passes) {
     std::string Failure = validate::optimizeCheckingPasses(FE, Out, SpecLevel);
     if (!Failure.empty()) {
@@ -557,8 +562,8 @@ int fgcMain(int Argc, char **Argv) {
     return 2;
   }
   // The selected engine runs its default level; only aot honours a
-  // level pinned by --specialize/-O2 (the others leave the optimized
-  // term to the tree-walker cross-check below).
+  // level pinned by --specialize/-O2 (tree and vm run the raw term here
+  // and the optimized term in the -O check below, on the same engine).
   aot::RunInfo Info;
   RunOptions RO{.Engine = Engine, .Toolchain = AotToolchain, .AotInfo = &Info};
   if (SpecSet && Engine == Backend::Aot)
@@ -596,7 +601,11 @@ int fgcMain(int Argc, char **Argv) {
                   << Stats.BudgetHits
                   << " specialization(s) (specialize.budget_hits)\n";
     }
-    sf::EvalResult O = FE.run(Out, {.Level = RunLevel::at(SpecLevel)});
+    // Both values come from one engine, except on aot: its value above
+    // already ran an optimized term, so its check runs on the tree walker.
+    Backend CheckEngine = Engine == Backend::Aot ? Backend::Tree : Engine;
+    sf::EvalResult O = FE.run(
+        Out, {.Engine = CheckEngine, .Level = RunLevel::at(SpecLevel)});
     if (!O.ok()) {
       std::cerr << "specialized evaluation error: " << O.Error << "\n";
       return 1;

@@ -25,46 +25,38 @@ bool ModuleLoader::scanHeader(const std::string &BufferName,
                               const std::string &Source, ModuleHeader &Header,
                               std::string &Error) {
   // A throwaway lexing context: body lex errors are none of the
-  // header's business and get reported by the real parse later.
+  // header's business and get reported by the real parse later.  The
+  // cursor stops at the first token that cannot continue the header.
   SourceManager SM;
   DiagnosticEngine Diags(&SM);
-  uint32_t BufferId = SM.addBuffer(BufferName, Source);
-  std::vector<Token> Tokens = lexBuffer(SM, BufferId, Diags);
+  Lexer Lex(SM, SM.addBuffer(BufferName, Source), Diags);
+  Token Tok = Lex.next();
 
   Header = ModuleHeader();
-  size_t Pos = 0;
-  auto at = [&](TokenKind K) {
-    return Pos < Tokens.size() && Tokens[Pos].Kind == K;
+  auto expect = [&](TokenKind K, const char *What) {
+    Tok = Lex.next();
+    if (Tok.is(K))
+      return true;
+    Error = BufferName + ": expected " + What;
+    return false;
   };
-  if (at(TokenKind::KwModule)) {
-    ++Pos;
-    if (!at(TokenKind::Ident)) {
-      Error = BufferName + ": expected module name after `module`";
+  if (Tok.is(TokenKind::KwModule)) {
+    if (!expect(TokenKind::Ident, "module name after `module`"))
       return false;
-    }
     Header.HasModuleDecl = true;
-    Header.Name = Tokens[Pos].Text;
-    ++Pos;
-    if (!at(TokenKind::Semi)) {
-      Error = BufferName + ": expected `;` after module name";
+    Header.Name = std::move(Tok.Text);
+    if (!expect(TokenKind::Semi, "`;` after module name"))
       return false;
-    }
-    ++Pos;
+    Tok = Lex.next();
   }
-  while (at(TokenKind::KwImport)) {
-    SourceLocation Loc = Tokens[Pos].Loc;
-    ++Pos;
-    if (!at(TokenKind::Ident)) {
-      Error = BufferName + ": expected module name after `import`";
+  while (Tok.is(TokenKind::KwImport)) {
+    SourceLocation Loc = Tok.Loc;
+    if (!expect(TokenKind::Ident, "module name after `import`"))
       return false;
-    }
-    Header.Imports.push_back({Tokens[Pos].Text, Loc});
-    ++Pos;
-    if (!at(TokenKind::Semi)) {
-      Error = BufferName + ": expected `;` after import name";
+    Header.Imports.push_back({std::move(Tok.Text), Loc});
+    if (!expect(TokenKind::Semi, "`;` after import name"))
       return false;
-    }
-    ++Pos;
+    Tok = Lex.next();
   }
   return true;
 }

@@ -71,8 +71,10 @@ public:
 
   /// After open(): true when an import cone was loaded (file(), or a
   /// header under Headers::Resolve).  A cache keys a linked program on
-  /// the cone's contentHash(), any other on its source().
+  /// the cone's contentHash(), any other on its source(); both under
+  /// name(), which diagnostics carry.
   bool linked() const { return Loader.has_value(); }
+  const std::string &name() const { return Name; }
   const std::string &source() const { return Source; }
   uint64_t contentHash() const { return Loader->contentHash(Root); }
 

@@ -108,11 +108,14 @@ Outcome Session::compiled(modules::Program &P, const char *KeyKind,
 
   // A path's key covers its entire import cone, so an edit in any
   // imported file invalidates — the same discipline as `.fgi` interface
-  // hashes.
+  // hashes.  Diagnostics carry the buffer name (a source's display
+  // name, a path's root), so the key covers it too; no kind tag holds a
+  // NUL, so tag and name stay apart.
   std::optional<CacheKey> Key;
   if (KeyKind) {
-    Key = P.linked() ? ArtifactCache::key(KeyKind, "", P.contentHash())
-                     : ArtifactCache::key(KeyKind, P.source());
+    std::string Kind = std::string(KeyKind) + '\0' + P.name();
+    Key = P.linked() ? ArtifactCache::key(Kind, "", P.contentHash())
+                     : ArtifactCache::key(Kind, P.source());
     if (ArtifactPtr A = Cache->get(*Key)) {
       static_cast<Artifact &>(O) = *A;
       O.Cached = true;

@@ -21,6 +21,7 @@
 #include "support/SourceManager.h"
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fg {
@@ -89,9 +90,26 @@ struct Token {
   bool is(TokenKind K) const { return Kind == K; }
 };
 
-/// Lexes a registered source buffer into a token vector (plus a final
-/// Eof token).  Errors are reported to the DiagnosticEngine and yield
-/// Error tokens.
+/// A pull cursor over a registered source buffer: each next() lexes
+/// one token, so a caller that needs only a prefix (the module header
+/// scan) stops early.  Errors are reported to the DiagnosticEngine and
+/// yield Error tokens; once the buffer is exhausted every call returns
+/// Eof.
+class Lexer {
+public:
+  Lexer(const SourceManager &SM, uint32_t BufferId, DiagnosticEngine &Diags);
+
+  Token next();
+
+private:
+  const SourceManager &SM;
+  uint32_t BufferId;
+  DiagnosticEngine &Diags;
+  std::string_view Text;
+  size_t I = 0; ///< Offset of the next unlexed character.
+};
+
+/// Lexes a whole buffer into a token vector (plus a final Eof token).
 std::vector<Token> lexBuffer(const SourceManager &SM, uint32_t BufferId,
                              DiagnosticEngine &Diags);
 

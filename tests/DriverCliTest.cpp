@@ -15,7 +15,9 @@
 //     one registry (support/Backends.h), so registering an engine
 //     without surfacing it in the help is a test failure;
 //   * `--backend=aot` without a usable host compiler degrades
-//     gracefully: exit 2 with a one-line actionable diagnostic.
+//     gracefully: exit 2 with a one-line actionable diagnostic;
+//   * under `-O2`, tree and vm run both the raw and the specialized
+//     term on the selected engine, with unchanged stdout.
 //
 //===----------------------------------------------------------------------===//
 
@@ -291,6 +293,47 @@ TEST(DriverCliTest, O2AotSpecializesOnceUnderPassValidation) {
   if (!fg::aot::toolchainAvailable())
     GTEST_SKIP() << "no host C++ compiler available";
   expectFglibSpecializesOnce("--backend=aot");
+}
+
+/// The value of stats counter \p Name in a --stats-json dump, 0 when
+/// the counter is absent.
+unsigned counterValue(const std::string &Json, const std::string &Name) {
+  std::smatch M;
+  std::regex Re("\"" + Name + "\": (\\d+)[,\n]");
+  return std::regex_search(Json, M, Re) ? std::stoul(M[1]) : 0;
+}
+
+/// The -O2 inputs: a sample program and the fglib root.
+const char *const O2Inputs[] = {
+    FG_PROGRAMS_DIR "/figure5_accumulate.fg",
+    "-I " FG_FGLIB_DIR " " FG_FGLIB_DIR "/fglib.fg"};
+
+TEST(DriverCliTest, O2VmRunsBothTermsOnTheVm) {
+  for (const char *Input : O2Inputs) {
+    RunResult Vm = runFgc(std::string("-O2 --backend=vm --stats-json=- ") +
+                          Input);
+    ASSERT_EQ(Vm.ExitCode, 0) << Input << "\n" << Vm.Stderr;
+    // One chunk for the raw term, one for the specialized term.
+    EXPECT_EQ(counterValue(Vm.Stdout, "vm.chunks.compiled"), 2u) << Input;
+    EXPECT_EQ(timerCalls(Vm.Stdout, "eval.run"), 0u) << Input;
+    // Everything before the stats dump matches the tree walker's -O2
+    // output byte for byte.
+    RunResult Tree = runFgc(std::string("-O2 ") + Input);
+    ASSERT_EQ(Tree.ExitCode, 0) << Input << "\n" << Tree.Stderr;
+    EXPECT_NE(Tree.Stdout.find("\noptimized value: "), std::string::npos);
+    EXPECT_EQ(Vm.Stdout.substr(0, Tree.Stdout.size()), Tree.Stdout) << Input;
+    EXPECT_EQ(Vm.Stdout.compare(Tree.Stdout.size(), 2, "{\n"), 0) << Input;
+  }
+}
+
+TEST(DriverCliTest, O2TreeRunsBothTermsOnTheTreeWalker) {
+  for (const char *Input : O2Inputs) {
+    RunResult R = runFgc(std::string("-O2 --backend=tree --stats-json=- ") +
+                         Input);
+    ASSERT_EQ(R.ExitCode, 0) << Input << "\n" << R.Stderr;
+    EXPECT_EQ(timerCalls(R.Stdout, "eval.run"), 2u) << Input;
+    EXPECT_EQ(timerCalls(R.Stdout, "vm.compile"), 0u) << Input;
+  }
 }
 
 } // namespace

@@ -129,3 +129,18 @@ TEST(LexerTest, KeywordPrefixIsIdentifier) {
   EXPECT_EQ(Toks[1].Kind, TokenKind::Ident);
   EXPECT_EQ(Toks[2].Kind, TokenKind::Ident);
 }
+
+TEST(LexerTest, CursorPullsOneTokenAtATimeAndStaysAtEof) {
+  SourceManager SM;
+  DiagnosticEngine Diags(&SM);
+  Lexer L(SM, SM.addBuffer("test", "module m; /* open"), Diags);
+  EXPECT_EQ(L.next().Kind, TokenKind::KwModule);
+  Token Name = L.next();
+  EXPECT_EQ(Name.Kind, TokenKind::Ident);
+  EXPECT_EQ(Name.Text, "m");
+  EXPECT_EQ(L.next().Kind, TokenKind::Semi);
+  EXPECT_FALSE(Diags.hasErrors()); // The comment is not lexed yet.
+  EXPECT_EQ(L.next().Kind, TokenKind::Eof);
+  EXPECT_TRUE(Diags.hasErrors());
+  EXPECT_EQ(L.next().Kind, TokenKind::Eof);
+}

@@ -17,6 +17,7 @@
 #include "modules/Batch.h"
 #include "modules/Interface.h"
 #include "modules/Loader.h"
+#include "modules/Program.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
 #include <filesystem>
@@ -123,6 +124,46 @@ TEST_F(ModulesTest, ScanHeaderRejectsMalformedHeader) {
   std::string Error;
   EXPECT_FALSE(ModuleLoader::scanHeader("m.fg", "module ;", H, Error));
   EXPECT_NE(Error.find("module"), std::string::npos);
+}
+
+TEST_F(ModulesTest, ScanHeaderEndingAtEof) {
+  ModuleHeader H;
+  std::string Error;
+  ASSERT_TRUE(
+      ModuleLoader::scanHeader("m.fg", "module m;\nimport a;", H, Error))
+      << Error;
+  EXPECT_EQ(H.Name, "m");
+  ASSERT_EQ(H.Imports.size(), 1u);
+  EXPECT_EQ(H.Imports[0].Name, "a");
+}
+
+TEST_F(ModulesTest, ScanHeaderStopsBeforeUnterminatedComment) {
+  ModuleHeader H;
+  std::string Error;
+  ASSERT_TRUE(ModuleLoader::scanHeader(
+      "m.fg", "module m;\nimport a;\n/* never closed\n1\n", H, Error))
+      << Error;
+  ASSERT_EQ(H.Imports.size(), 1u);
+  EXPECT_EQ(H.Imports[0].Name, "a");
+}
+
+TEST_F(ModulesTest, BodyLexErrorIsReportedByTheParse) {
+  // The header scan stops at `$` without a word; the parse reports it
+  // at its real position.
+  std::string P = write("solo.fg", "module solo;\n$ iadd(1, 2)\n");
+  ModuleHeader H;
+  std::string Error;
+  ASSERT_TRUE(ModuleLoader::scanHeader(P, readAll(P), H, Error)) << Error;
+  EXPECT_EQ(H.Name, "solo");
+
+  Program Prog = Program::file(P, {});
+  ASSERT_EQ(Prog.open(Error), Program::Status::Ok) << Error;
+  Frontend FE;
+  EXPECT_FALSE(Prog.compile(FE).Success);
+  std::string Diags = FE.getDiags().render();
+  EXPECT_NE(Diags.find("solo.fg:2:1: error: unexpected character `$`"),
+            std::string::npos)
+      << Diags;
 }
 
 TEST_F(ModulesTest, LoaderBuildsDiamondInDependencyOrder) {

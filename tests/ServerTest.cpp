@@ -662,6 +662,49 @@ TEST(SessionTest, CheckPathCachesOnTheImportCone) {
   EXPECT_FALSE(Third.Success);
 }
 
+TEST(SessionTest, SourceCacheKeyCoversTheDisplayName) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome A = S.check("iadd(true,1)", "a.fg");
+  EXPECT_FALSE(A.Success);
+  EXPECT_NE(A.Diagnostics.find("a.fg:1:6: error"), std::string::npos)
+      << A.Diagnostics;
+  // The same text under another name must not be answered with the
+  // first name's diagnostics.
+  Outcome B = S.check("iadd(true,1)", "b.fg");
+  EXPECT_FALSE(B.Cached);
+  EXPECT_NE(B.Diagnostics.find("b.fg:1:6: error"), std::string::npos)
+      << B.Diagnostics;
+  EXPECT_EQ(B.Diagnostics.find("a.fg"), std::string::npos) << B.Diagnostics;
+  EXPECT_TRUE(S.check("iadd(true,1)", "a.fg").Cached);
+}
+
+TEST(SessionTest, PathCacheKeyCoversTheRootPath) {
+  // Two byte-identical cones in different directories: one content
+  // hash, but each reply names its own files.
+  TempDir Dir;
+  std::string Mains[2];
+  for (int I = 0; I < 2; ++I) {
+    std::string Sub = I ? "two" : "one";
+    std::filesystem::create_directories(Dir.Path / Sub);
+    Dir.write(Sub + "/dep.fg", "module dep;\nlet base = true in 0\n");
+    Mains[I] = Dir.write(Sub + "/main.fg",
+                         "module main;\nimport dep;\niadd(base, 1)\n");
+  }
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome One = S.checkPath(Mains[0]);
+  EXPECT_FALSE(One.Success);
+  Outcome Two = S.checkPath(Mains[1]);
+  EXPECT_FALSE(Two.Cached);
+  EXPECT_FALSE(Two.Success);
+  EXPECT_NE(Two.Diagnostics.find(Mains[1]), std::string::npos)
+      << Two.Diagnostics;
+  EXPECT_EQ(Two.Diagnostics.find(Mains[0]), std::string::npos)
+      << Two.Diagnostics;
+  EXPECT_TRUE(S.checkPath(Mains[0]).Cached);
+}
+
 //===----------------------------------------------------------------------===//
 // The real daemon: 16 concurrent socket sessions
 //===----------------------------------------------------------------------===//
