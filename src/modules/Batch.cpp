@@ -7,6 +7,7 @@
 
 #include "modules/Batch.h"
 #include "modules/Interface.h"
+#include "support/DeepStack.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
 #include <algorithm>
@@ -28,13 +29,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// What a finished module leaves behind for its dependents.
-struct Product {
-  bool Ok = false;
-  uint64_t Hash = 0;
-  std::string InterfaceText;
-};
-
 std::string cacheFileFor(const ModuleUnit &U, const BatchOptions &Opts) {
   if (!Opts.CacheDir.empty())
     return (fs::path(Opts.CacheDir) / (U.Name + ".fgi")).string();
@@ -53,14 +47,15 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Checks one module against its dependencies' interfaces.  \p Deps is
-/// the module's transitive closure in dependency order (itself
-/// excluded); every entry's Product is complete and successful.
+/// Checks one module against its dependencies' interfaces.  \p Closure
+/// is the module's transitive closure in dependency order (itself
+/// excluded); every entry of \p Products for it is parsed.  \p Out
+/// receives this module's parsed interface, which its dependents share.
 void buildModule(const ModuleUnit &U,
                  const std::vector<std::string> &Closure,
-                 const std::map<std::string, Product> &Products,
+                 const std::map<std::string, ParsedInterface> &Products,
                  const BatchOptions &Opts, ModuleBuildResult &R,
-                 Product &Out) {
+                 ParsedInterface &Out) {
   stats::Statistics &S = stats::Statistics::global();
 
   // The expected hash covers this module's source plus the *direct*
@@ -73,14 +68,13 @@ void buildModule(const ModuleUnit &U,
 
   std::string CachePath = cacheFileFor(U, Opts);
   if (Opts.UseCache) {
-    std::string Text;
-    uint64_t Stored;
-    if (readFile(CachePath, Text) && peekInterfaceHash(Text, Stored)) {
-      if (Stored == Expected) {
+    std::string Text, Err;
+    ParsedInterface Cached;
+    // A malformed file is a miss.
+    if (readFile(CachePath, Text) && parseInterface(Text, Cached, Err)) {
+      if (Cached.Hash == Expected) {
         S.add("modules.cache.hits");
-        Out.Ok = true;
-        Out.Hash = Expected;
-        Out.InterfaceText = std::move(Text);
+        Out = std::move(Cached);
         R.Success = true;
         R.CacheHit = true;
         return;
@@ -90,9 +84,7 @@ void buildModule(const ModuleUnit &U,
       // reproduces the stored hash, this module's own text is
       // unchanged — the invalidation cascaded transitively from a
       // dependency.  Otherwise the source itself was edited.
-      std::vector<std::pair<std::string, uint64_t>> StoredDeps;
-      if (peekInterfaceDeps(Text, StoredDeps) &&
-          interfaceHash(U.Source, StoredDeps) == Stored)
+      if (interfaceHash(U.Source, Cached.Deps) == Cached.Hash)
         S.add("modules.cache.invalidations.transitive");
       else
         S.add("modules.cache.invalidations.source");
@@ -108,8 +100,7 @@ void buildModule(const ModuleUnit &U,
   std::map<std::string, ModuleInterface> Ifaces;
   for (const std::string &Dep : Closure) {
     std::string Err;
-    if (!instantiateInterface(Products.at(Dep).InterfaceText, FE, Env,
-                              Ifaces[Dep], Err)) {
+    if (!instantiateInterface(Products.at(Dep), FE, Env, Ifaces[Dep], Err)) {
       R.Error = Err;
       return;
     }
@@ -182,10 +173,13 @@ void buildModule(const ModuleUnit &U,
     if (OutFile)
       OutFile << Text;
   }
+  // Dependents instantiate from this one parse.
+  if (!parseInterface(Text, Out, Err)) {
+    R.Error = "internal error: the interface just written does not parse: " +
+              Err;
+    return;
+  }
   S.add("modules.compiled");
-  Out.Ok = true;
-  Out.Hash = Expected;
-  Out.InterfaceText = std::move(Text);
   R.Success = true;
 }
 
@@ -212,7 +206,9 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
     bool Done = false;
   };
   std::map<std::string, Node> Nodes;
-  std::map<std::string, Product> Products;
+  /// What each finished module leaves behind for its dependents: its
+  /// parsed interface (a null Root if it failed or was skipped).
+  std::map<std::string, ParsedInterface> Products;
   std::map<std::string, ModuleBuildResult> Results;
   for (const std::string &M : Order) {
     Node &N = Nodes[M];
@@ -252,14 +248,14 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
 
       bool DepsOk = true;
       for (const ModuleHeader::Import &Imp : N.U->Imports)
-        if (!Products[Imp.Name].Ok) {
+        if (!Products[Imp.Name].Root) {
           R.Skipped = true;
           R.Error = "import `" + Imp.Name + "` failed";
           DepsOk = false;
           break;
         }
       if (DepsOk) {
-        Product Out;
+        ParsedInterface Out;
         Lock.unlock();
         auto T0 = std::chrono::steady_clock::now();
         buildModule(*N.U, N.Closure, Products, Opts, R, Out);
@@ -288,9 +284,11 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
     Jobs = static_cast<unsigned>(Order.size());
   if (Jobs == 0)
     Jobs = 1;
+  // Checking recurses in proportion to program depth, so pool workers
+  // get the deep stack the calling thread has under fgc.
   std::vector<std::thread> Pool;
   for (unsigned I = 1; I < Jobs; ++I)
-    Pool.emplace_back(worker);
+    Pool.push_back(startDeepStackThread(worker));
   worker();
   for (std::thread &T : Pool)
     T.join();

@@ -13,7 +13,9 @@
 ///
 /// Each worker checks one module in its own Frontend against the
 /// *serialized interfaces* of its dependencies (modules/Interface.h):
-/// no dependency body is re-parsed or re-checked.  A successfully
+/// no dependency body is re-parsed or re-checked, and each interface is
+/// parsed once, then shared read-only by every dependent.  Workers run
+/// on deep stacks (support/DeepStack.h).  A successfully
 /// checked module writes its interface next to its source (or into
 /// `--module-cache`); a later batch whose recorded hash still matches
 /// skips the module entirely (an interface cache hit).
@@ -22,7 +24,8 @@
 /// `modules.compiled`, `modules.cache.hits` / `.misses` (with
 /// `modules.cache.invalidations.source` / `.transitive` attributing
 /// each stale interface to an edited source or a cascading dependency)
-/// (hit_rate derived at emission), `batch.wavefront.max_width`; timers
+/// (hit_rate derived at emission), `modules.interface.parses`,
+/// `batch.wavefront.max_width`; timers
 /// `modules.parse`, `modules.instantiate`, `modules.serialize` plus the
 /// regular frontend phase timers.
 ///

@@ -160,160 +160,156 @@ uint64_t fg::modules::interfaceHash(
 
 namespace {
 
-void writeType(std::ostream &OS, const Type *T);
+/// Writes wire-format types and records every concept id and type
+/// parameter id they mention, so the reference lines can be limited to
+/// the imports the interface actually uses.
+struct Writer {
+  std::ostringstream OS;
+  std::set<unsigned> Concepts, Params;
 
-void writeRef(std::ostream &OS, const ConceptRef &R) {
-  OS << "(ref " << R.ConceptId;
-  for (const Type *A : R.Args) {
+  void ref(const ConceptRef &R) {
+    Concepts.insert(R.ConceptId);
+    OS << "(ref " << R.ConceptId;
+    for (const Type *A : R.Args) {
+      OS << " ";
+      type(A);
+    }
+    OS << ")";
+  }
+
+  void eq(const TypeEquation &E) {
+    OS << "(";
+    type(E.Lhs);
     OS << " ";
-    writeType(OS, A);
+    type(E.Rhs);
+    OS << ")";
   }
-  OS << ")";
-}
 
-void writeEq(std::ostream &OS, const TypeEquation &E) {
-  OS << "(";
-  writeType(OS, E.Lhs);
-  OS << " ";
-  writeType(OS, E.Rhs);
-  OS << ")";
-}
+  void type(const Type *T) {
+    switch (T->getKind()) {
+    case TypeKind::Int:
+      OS << "int";
+      return;
+    case TypeKind::Bool:
+      OS << "bool";
+      return;
+    case TypeKind::Param: {
+      const auto *P = cast<ParamType>(T);
+      Params.insert(P->getId());
+      OS << "(p " << P->getId() << " " << P->getName() << ")";
+      return;
+    }
+    case TypeKind::Arrow: {
+      const auto *A = cast<ArrowType>(T);
+      OS << "(-> (";
+      bool First = true;
+      for (const Type *P : A->getParams()) {
+        OS << (First ? "" : " ");
+        type(P);
+        First = false;
+      }
+      OS << ") ";
+      type(A->getResult());
+      OS << ")";
+      return;
+    }
+    case TypeKind::Tuple: {
+      OS << "(tup";
+      for (const Type *E : cast<TupleType>(T)->getElements()) {
+        OS << " ";
+        type(E);
+      }
+      OS << ")";
+      return;
+    }
+    case TypeKind::List:
+      OS << "(list ";
+      type(cast<ListType>(T)->getElement());
+      OS << ")";
+      return;
+    case TypeKind::ForAll: {
+      const auto *F = cast<ForAllType>(T);
+      OS << "(all (";
+      bool First = true;
+      for (const TypeParamDecl &P : F->getParams()) {
+        OS << (First ? "" : " ") << "(" << P.Id << " " << P.Name << ")";
+        First = false;
+      }
+      OS << ") (reqs";
+      for (const ConceptRef &R : F->getRequirements()) {
+        OS << " ";
+        ref(R);
+      }
+      OS << ") (eqs";
+      for (const TypeEquation &E : F->getEquations()) {
+        OS << " ";
+        eq(E);
+      }
+      OS << ") ";
+      type(F->getBody());
+      OS << ")";
+      return;
+    }
+    case TypeKind::Assoc: {
+      const auto *A = cast<AssocType>(T);
+      Concepts.insert(A->getConceptId());
+      OS << "(assoc " << A->getConceptId() << " " << A->getMember();
+      for (const Type *Arg : A->getArgs()) {
+        OS << " ";
+        type(Arg);
+      }
+      OS << ")";
+      return;
+    }
+    }
+    assert(false && "unknown type kind");
+  }
 
-void writeType(std::ostream &OS, const Type *T) {
-  switch (T->getKind()) {
-  case TypeKind::Int:
-    OS << "int";
-    return;
-  case TypeKind::Bool:
-    OS << "bool";
-    return;
-  case TypeKind::Param: {
-    const auto *P = cast<ParamType>(T);
-    OS << "(p " << P->getId() << " " << P->getName() << ")";
-    return;
-  }
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    OS << "(-> (";
-    bool First = true;
-    for (const Type *P : A->getParams()) {
-      OS << (First ? "" : " ");
-      writeType(OS, P);
-      First = false;
-    }
-    OS << ") ";
-    writeType(OS, A->getResult());
+  void paramList(const char *Head, const std::vector<TypeParamDecl> &Ps) {
+    OS << "(" << Head;
+    for (const TypeParamDecl &P : Ps)
+      OS << " (" << P.Id << " " << P.Name << ")";
     OS << ")";
-    return;
   }
-  case TypeKind::Tuple: {
-    OS << "(tup";
-    for (const Type *E : cast<TupleType>(T)->getElements()) {
-      OS << " ";
-      writeType(OS, E);
-    }
-    OS << ")";
-    return;
-  }
-  case TypeKind::List:
-    OS << "(list ";
-    writeType(OS, cast<ListType>(T)->getElement());
-    OS << ")";
-    return;
-  case TypeKind::ForAll: {
-    const auto *F = cast<ForAllType>(T);
-    OS << "(all (";
-    bool First = true;
-    for (const TypeParamDecl &P : F->getParams()) {
-      OS << (First ? "" : " ") << "(" << P.Id << " " << P.Name << ")";
-      First = false;
-    }
-    OS << ") (reqs";
-    for (const ConceptRef &R : F->getRequirements()) {
-      OS << " ";
-      writeRef(OS, R);
-    }
-    OS << ") (eqs";
-    for (const TypeEquation &E : F->getEquations()) {
-      OS << " ";
-      writeEq(OS, E);
-    }
-    OS << ") ";
-    writeType(OS, F->getBody());
-    OS << ")";
-    return;
-  }
-  case TypeKind::Assoc: {
-    const auto *A = cast<AssocType>(T);
-    OS << "(assoc " << A->getConceptId() << " " << A->getMember();
-    for (const Type *Arg : A->getArgs()) {
-      OS << " ";
-      writeType(OS, Arg);
-    }
-    OS << ")";
-    return;
-  }
-  }
-  assert(false && "unknown type kind");
-}
-
-void writeParamList(std::ostream &OS, const char *Head,
-                    const std::vector<TypeParamDecl> &Params) {
-  OS << "(" << Head;
-  for (const TypeParamDecl &P : Params)
-    OS << " (" << P.Id << " " << P.Name << ")";
-  OS << ")";
-}
+};
 
 } // namespace
 
 std::string fg::modules::serializeInterface(const ModuleInterface &I,
                                             const ImportEnv &Env) {
-  std::ostringstream OS;
-  OS << "(fgi 1\n";
-  OS << "(module " << I.ModuleName << ")\n";
-  OS << "(hash " << hashToHex(I.Hash) << ")\n";
-  OS << "(deps";
-  for (const auto &[Name, H] : I.Deps)
-    OS << " (" << Name << " " << hashToHex(H) << ")";
-  OS << ")\n";
-
-  OS << "(decls\n";
-  // Imported entities first (no dependencies among references), in the
-  // deterministic map order.
-  for (const auto &[Key, Id] : Env.ConceptIds)
-    OS << " (cref " << Id << " " << Key.first << " " << Key.second << ")\n";
-  for (const auto &[Key, Id] : Env.AliasParams)
-    OS << " (aref " << Id << " " << Key.first << " " << Key.second << ")\n";
+  // Everything after the reference lines is written first, so that the
+  // references can be limited to the imports it mentions.
+  Writer W;
+  std::ostringstream &OS = W.OS;
   // Own declarations in spine order: each references only earlier ones.
   for (const auto &D : I.Decls) {
     if (const auto *CI = std::get_if<ConceptInfo>(&D)) {
       OS << " (cdecl " << CI->Id << " " << CI->Name << " ";
-      writeParamList(OS, "params", CI->Params);
+      W.paramList("params", CI->Params);
       OS << " (assocs";
       for (const AssocTypeDecl &A : CI->Assocs)
         OS << " (" << A.ParamId << " " << A.Name << ")";
       OS << ") (refines";
       for (const ConceptRef &R : CI->Refines) {
         OS << " ";
-        writeRef(OS, R);
+        W.ref(R);
       }
       OS << ") (members";
       for (const ConceptMember &M : CI->Members) {
         OS << " (" << M.Name << " ";
-        writeType(OS, M.Ty);
+        W.type(M.Ty);
         OS << " " << (M.Default ? 1 : 0) << ")";
       }
       OS << ") (eqs";
       for (const TypeEquation &E : CI->Equations) {
         OS << " ";
-        writeEq(OS, E);
+        W.eq(E);
       }
       OS << "))\n";
     } else {
       const auto &A = std::get<AliasExport>(D);
       OS << " (adecl " << A.ParamId << " " << A.Name << " ";
-      writeType(OS, A.Target);
+      W.type(A.Target);
       OS << ")\n";
     }
   }
@@ -321,28 +317,29 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
 
   OS << "(models\n";
   for (const ModelExport &M : I.Models) {
+    W.Concepts.insert(M.ConceptId);
     OS << " (mdl " << (M.Name ? *M.Name : std::string("_")) << " "
        << M.DictVar << " " << M.ConceptId << " ";
-    writeParamList(OS, "params", M.Params);
+    W.paramList("params", M.Params);
     OS << " (reqs";
     for (const ConceptRef &R : M.Requirements) {
       OS << " ";
-      writeRef(OS, R);
+      W.ref(R);
     }
     OS << ") (eqs";
     for (const TypeEquation &E : M.Equations) {
       OS << " ";
-      writeEq(OS, E);
+      W.eq(E);
     }
     OS << ") (args";
     for (const Type *A : M.Args) {
       OS << " ";
-      writeType(OS, A);
+      W.type(A);
     }
     OS << ") (assocs";
     for (const auto &[Name, Ty] : M.AssocBindings) {
       OS << " (" << Name << " ";
-      writeType(OS, Ty);
+      W.type(Ty);
       OS << ")";
     }
     OS << "))\n";
@@ -352,18 +349,38 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
   OS << "(values\n";
   for (const ValueExport &V : I.Values) {
     OS << " (val " << V.Name << " ";
-    writeType(OS, V.Ty);
+    W.type(V.Ty);
     OS << ")\n";
   }
   OS << ")\n";
 
   OS << "(result ";
   if (I.ResultType)
-    writeType(OS, I.ResultType);
+    W.type(I.ResultType);
   else
     OS << "int";
   OS << ")\n)\n";
-  return OS.str();
+
+  std::ostringstream Head;
+  Head << "(fgi 1\n";
+  Head << "(module " << I.ModuleName << ")\n";
+  Head << "(hash " << hashToHex(I.Hash) << ")\n";
+  Head << "(deps";
+  for (const auto &[Name, H] : I.Deps)
+    Head << " (" << Name << " " << hashToHex(H) << ")";
+  Head << ")\n";
+  Head << "(decls\n";
+  // The imports mentioned above (no dependencies among references), in
+  // the deterministic map order.
+  for (const auto &[Key, Id] : Env.ConceptIds)
+    if (W.Concepts.count(Id))
+      Head << " (cref " << Id << " " << Key.first << " " << Key.second
+           << ")\n";
+  for (const auto &[Key, Id] : Env.AliasParams)
+    if (W.Params.count(Id))
+      Head << " (aref " << Id << " " << Key.first << " " << Key.second
+           << ")\n";
+  return Head.str() + OS.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -473,9 +490,7 @@ bool fg::modules::buildInterface(Frontend &FE, const ImportEnv &Env,
 // Wire reader
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct Sexp {
+struct fg::modules::Sexp {
   bool IsAtom = false;
   std::string Atom;
   std::vector<Sexp> Items;
@@ -485,6 +500,8 @@ struct Sexp {
            Items[0].Atom == Head;
   }
 };
+
+namespace {
 
 bool parseSexp(const std::string &Text, size_t &Pos, Sexp &Out,
                std::string &Error) {
@@ -795,74 +812,68 @@ const Sexp *findField(const Sexp &Root, const char *Head) {
 
 } // namespace
 
-bool fg::modules::peekInterfaceHash(const std::string &Text,
-                                    uint64_t &HashOut) {
+bool fg::modules::parseInterface(const std::string &Text,
+                                 ParsedInterface &Out, std::string &Error) {
+  stats::Statistics::global().add("modules.interface.parses");
+  auto Root = std::make_shared<Sexp>();
   size_t Pos = 0;
-  Sexp Root;
-  std::string Error;
-  if (!parseSexp(Text, Pos, Root, Error))
+  if (!parseSexp(Text, Pos, *Root, Error))
     return false;
-  if (Root.IsAtom || Root.Items.size() < 2 || !Root.Items[0].IsAtom ||
-      Root.Items[0].Atom != "fgi" || !Root.Items[1].IsAtom ||
-      Root.Items[1].Atom != "1")
+  if (Root->IsAtom || Root->Items.size() < 2 || !Root->Items[0].IsAtom ||
+      Root->Items[0].Atom != "fgi") {
+    Error = "not an fgc interface file";
     return false;
-  const Sexp *H = findField(Root, "hash");
-  return H && H->Items.size() == 2 && H->Items[1].IsAtom &&
-         parseHex(H->Items[1].Atom, HashOut);
-}
-
-bool fg::modules::peekInterfaceDeps(
-    const std::string &Text,
-    std::vector<std::pair<std::string, uint64_t>> &DepsOut) {
-  size_t Pos = 0;
-  Sexp Root;
-  std::string Error;
-  if (!parseSexp(Text, Pos, Root, Error))
-    return false;
-  if (Root.IsAtom || Root.Items.size() < 2 || !Root.Items[0].IsAtom ||
-      Root.Items[0].Atom != "fgi" || !Root.Items[1].IsAtom ||
-      Root.Items[1].Atom != "1")
-    return false;
-  DepsOut.clear();
-  const Sexp *DepsS = findField(Root, "deps");
-  if (!DepsS)
-    return true; // A leaf module legitimately records no deps.
-  for (size_t I = 1; I != DepsS->Items.size(); ++I) {
-    const Sexp &D = DepsS->Items[I];
-    uint64_t H;
-    if (D.IsAtom || D.Items.size() != 2 || !D.Items[0].IsAtom ||
-        !D.Items[1].IsAtom || !parseHex(D.Items[1].Atom, H))
-      return false;
-    DepsOut.emplace_back(D.Items[0].Atom, H);
   }
+  if (!Root->Items[1].IsAtom || Root->Items[1].Atom != "1") {
+    Error = "unsupported interface format version";
+    return false;
+  }
+  const Sexp *ModuleS = findField(*Root, "module");
+  if (!ModuleS || ModuleS->Items.size() != 2 || !ModuleS->Items[1].IsAtom) {
+    Error = "interface is missing its module name";
+    return false;
+  }
+  Out = ParsedInterface();
+  Out.ModuleName = ModuleS->Items[1].Atom;
+  auto fail = [&](const std::string &Msg) {
+    Error = "interface of module `" + Out.ModuleName + "`: " + Msg;
+    return false;
+  };
+  const Sexp *HashS = findField(*Root, "hash");
+  if (!HashS || HashS->Items.size() != 2 || !HashS->Items[1].IsAtom ||
+      !parseHex(HashS->Items[1].Atom, Out.Hash))
+    return fail("missing or malformed hash");
+  if (const Sexp *DepsS = findField(*Root, "deps"))
+    for (size_t I = 1; I != DepsS->Items.size(); ++I) {
+      const Sexp &D = DepsS->Items[I];
+      uint64_t H;
+      if (D.IsAtom || D.Items.size() != 2 || !D.Items[0].IsAtom ||
+          !D.Items[1].IsAtom || !parseHex(D.Items[1].Atom, H))
+        return fail("malformed dependency entry");
+      Out.Deps.emplace_back(D.Items[0].Atom, H);
+    }
+  Out.Root = std::move(Root);
   return true;
 }
 
 bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
                                        ImportEnv &Env, ModuleInterface &Out,
                                        std::string &Error) {
-  stats::ScopedTimer Timer("modules.instantiate");
-  size_t Pos = 0;
-  Sexp Root;
-  if (!parseSexp(Text, Pos, Root, Error))
-    return false;
-  if (Root.IsAtom || Root.Items.size() < 2 || !Root.Items[0].IsAtom ||
-      Root.Items[0].Atom != "fgi") {
-    Error = "not an fgc interface file";
-    return false;
-  }
-  if (!Root.Items[1].IsAtom || Root.Items[1].Atom != "1") {
-    Error = "unsupported interface format version";
-    return false;
-  }
+  ParsedInterface P;
+  return parseInterface(Text, P, Error) &&
+         instantiateInterface(P, FE, Env, Out, Error);
+}
 
+bool fg::modules::instantiateInterface(const ParsedInterface &P,
+                                       Frontend &FE, ImportEnv &Env,
+                                       ModuleInterface &Out,
+                                       std::string &Error) {
+  stats::ScopedTimer Timer("modules.instantiate");
+  const Sexp &Root = *P.Root;
   Out = ModuleInterface();
-  const Sexp *ModuleS = findField(Root, "module");
-  if (!ModuleS || ModuleS->Items.size() != 2 || !ModuleS->Items[1].IsAtom) {
-    Error = "interface is missing its module name";
-    return false;
-  }
-  Out.ModuleName = ModuleS->Items[1].Atom;
+  Out.ModuleName = P.ModuleName;
+  Out.Hash = P.Hash;
+  Out.Deps = P.Deps;
 
   ReadContext RC{FE, Env, Out.ModuleName, {}, {}, {}};
   Checker &C = FE.getChecker();
@@ -872,20 +883,6 @@ bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
                 : RC.Error;
     return false;
   };
-
-  const Sexp *HashS = findField(Root, "hash");
-  if (!HashS || HashS->Items.size() != 2 || !HashS->Items[1].IsAtom ||
-      !parseHex(HashS->Items[1].Atom, Out.Hash))
-    return fail("missing or malformed hash");
-  if (const Sexp *DepsS = findField(Root, "deps"))
-    for (size_t I = 1; I != DepsS->Items.size(); ++I) {
-      const Sexp &D = DepsS->Items[I];
-      uint64_t H;
-      if (D.IsAtom || D.Items.size() != 2 || !D.Items[0].IsAtom ||
-          !D.Items[1].IsAtom || !parseHex(D.Items[1].Atom, H))
-        return fail("malformed dependency entry");
-      Out.Deps.emplace_back(D.Items[0].Atom, H);
-    }
 
   // Declarations, in dependency order.
   if (const Sexp *Decls = findField(Root, "decls")) {

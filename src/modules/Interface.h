@@ -27,10 +27,20 @@
 /// identity is therefore (declaring module, exported name), independent
 /// of any compiler-local numbering.
 ///
+/// References list only the imported concepts and aliases the interface
+/// itself mentions (in its declarations, models, values and result
+/// type), so an interface's size follows its own exports, not its
+/// import cone.  Readers accept any superset, so interfaces written
+/// before references were pruned stay readable.
+///
 /// The interface hash is FNV-1a 64 over the format version, the module
 /// source text, and the direct dependencies' interface hashes, so a
 /// change anywhere in the dependency cone invalidates every interface
 /// above it.
+///
+/// A batch (modules/Batch.h) parses each interface once, when the
+/// module's check writes it or its cache file is read, and every
+/// dependent instantiates from that one parse.
 ///
 /// Known limitation: concept-member *default bodies* are terms and are
 /// not serialized; a module whose model relies on a default declared in
@@ -48,6 +58,7 @@
 #include "systemf/TypeCheck.h"
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -183,31 +194,48 @@ bool buildInterface(Frontend &FE, const ImportEnv &Env,
                     std::string &Error);
 
 /// Renders \p I in the `.fgi` wire format.  \p Env classifies referenced
-/// concepts/aliases as own declarations or imports.
+/// concepts/aliases as own declarations or imports; only the imports the
+/// interface mentions get a `cref`/`aref` line.
 std::string serializeInterface(const ModuleInterface &I,
                                const ImportEnv &Env);
 
-/// Reads only the recorded interface hash from `.fgi` text (cheap cache
-/// validation).  Returns false on malformed input.
-bool peekInterfaceHash(const std::string &Text, uint64_t &HashOut);
+/// The S-expression tree of `.fgi` text (defined in Interface.cpp).
+struct Sexp;
 
-/// Reads only the recorded direct-dependency (name, hash) pairs from
-/// `.fgi` text, in import order (cheap invalidation attribution: if
-/// re-hashing the current source against these stored dep hashes
-/// reproduces the stored interface hash, the source is unchanged and
-/// an invalidation must have cascaded from a dependency).  Returns
-/// false on malformed input; a dependency-free interface yields an
-/// empty vector.
-bool peekInterfaceDeps(const std::string &Text,
-                       std::vector<std::pair<std::string, uint64_t>>
-                           &DepsOut);
+/// `.fgi` text parsed once: the header fields that validate a cached
+/// interface, and the whole tree that instantiateInterface reads.  It
+/// is never modified after parseInterface, so a batch shares one parse
+/// among all dependents, across worker threads, without a lock.
+struct ParsedInterface {
+  std::string ModuleName;
+  uint64_t Hash = 0;
+  /// Direct dependencies in import order, with their interface hashes
+  /// (invalidation attribution: if re-hashing the current source
+  /// against these reproduces Hash, the source is unchanged and an
+  /// invalidation cascaded from a dependency).
+  std::vector<std::pair<std::string, uint64_t>> Deps;
+  /// Null until parsed.
+  std::shared_ptr<const Sexp> Root;
+};
 
-/// Parses `.fgi` text and installs its type-level contents into \p FE:
-/// concepts are declared, aliases bound, models registered (with their
-/// dictionary typings added to \p Env.ImportTypes).  \p Out receives
-/// the interface re-bound to \p FE's contexts.  Interfaces of all
-/// modules \p Text references must have been instantiated into \p Env
-/// first (instantiate in dependency order).
+/// Parses `.fgi` text and reads its header fields.  Returns false with
+/// \p Error set on malformed input or an unsupported format version.
+/// Counts `modules.interface.parses`.
+bool parseInterface(const std::string &Text, ParsedInterface &Out,
+                    std::string &Error);
+
+/// Installs the type-level contents of \p P (which parseInterface
+/// filled in) into \p FE: concepts are declared, aliases bound, models
+/// registered (with their dictionary typings added to
+/// \p Env.ImportTypes).  \p Out receives the interface re-bound to
+/// \p FE's contexts.  Interfaces of all modules \p P references must
+/// have been instantiated into \p Env first (instantiate in dependency
+/// order).
+bool instantiateInterface(const ParsedInterface &P, Frontend &FE,
+                          ImportEnv &Env, ModuleInterface &Out,
+                          std::string &Error);
+
+/// parseInterface, then instantiateInterface.
 bool instantiateInterface(const std::string &Text, Frontend &FE,
                           ImportEnv &Env, ModuleInterface &Out,
                           std::string &Error);

@@ -79,12 +79,7 @@ bool Server::start(std::string &Error) {
   Started = true;
   Stopping = false;
   for (unsigned I = 0; I < Opts.Threads; ++I)
-    Workers.emplace_back([this] {
-      runOnDeepStack([this] {
-        workerLoop();
-        return 0;
-      });
-    });
+    Workers.push_back(startDeepStackThread([this] { workerLoop(); }));
   Acceptor = std::thread([this] { acceptLoop(); });
   return true;
 }

@@ -13,8 +13,8 @@
 /// runaway recursion must reach the evaluator's depth limit and report
 /// it rather than overflow.  The default 8 MiB stack falls short of
 /// both, so every thread that compiles or runs programs — fgc's driver,
-/// fgcd's stdio and REPL loop, and its socket workers — runs on a
-/// thread whose stack is sized here.
+/// fgcd's stdio and REPL loop, its socket workers, and the batch
+/// checker's pool workers — runs on a thread whose stack is sized here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #define FG_SUPPORT_DEEPSTACK_H
 
 #include <functional>
+#include <thread>
 #if defined(__unix__) || defined(__APPLE__)
 #include <pthread.h>
 #endif
@@ -58,6 +59,17 @@ inline int runOnDeepStack(const std::function<int()> &Fn) {
   }
 #endif
   return Fn();
+}
+
+/// Starts a worker-pool thread whose body \p Fn runs on the deep stack
+/// of runOnDeepStack; join the returned thread as usual.
+inline std::thread startDeepStackThread(std::function<void()> Fn) {
+  return std::thread([Fn = std::move(Fn)] {
+    runOnDeepStack([&Fn] {
+      Fn();
+      return 0;
+    });
+  });
 }
 
 } // namespace fg

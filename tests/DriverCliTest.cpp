@@ -261,6 +261,24 @@ TEST(DriverCliTest, BatchFailureSummaryIsDeterministicAndExitsNonzero) {
   EXPECT_EQ(R1.Stdout, R2.Stdout);
 }
 
+TEST(DriverCliTest, ParallelBatchChecksDeeplyNestedModules) {
+  // 20,000-deep nesting overflows a default thread stack in the parser
+  // and checker; every batch worker runs on the deep stack.
+  ScratchDir Dir("fgc_cli_batch_deep");
+  std::string Deep =
+      std::string(20000, '(') + "1" + std::string(20000, ')') + "\n";
+  for (const char *Name : {"d0.fg", "d1.fg", "d2.fg", "d3.fg"})
+    std::ofstream(Dir.P / Name) << Deep;
+  std::string Out;
+  int Code = capture(std::string(FG_FGC_PATH) + " --batch -j4 --no-cache " +
+                         Dir.str() + " 2>&1",
+                     Out);
+  // capture() reads a signal death as -1; a shell reports it as 128+N.
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("batch: 4 modules, 4 checked"), std::string::npos)
+      << Out;
+}
+
 /// The `calls` count of stats timer \p Name in a --stats-json dump, 0
 /// when the timer is absent.
 unsigned timerCalls(const std::string &Json, const std::string &Name) {
@@ -301,6 +319,33 @@ unsigned counterValue(const std::string &Json, const std::string &Name) {
   std::smatch M;
   std::regex Re("\"" + Name + "\": (\\d+)[,\n]");
   return std::regex_search(Json, M, Re) ? std::stoul(M[1]) : 0;
+}
+
+TEST(DriverCliTest, BatchParsesEachInterfaceOnce) {
+  // The 3-module example: algebra <- intsum <- main, main also importing
+  // algebra.  Each module instantiates every interface in its closure
+  // (0 + 1 + 2 = 3 instantiations), from one parse per interface.
+  ScratchDir Cache("fgc_cli_batch_parse_once");
+  std::string Cmd = "--batch -j1 --stats-json=- --module-cache=" +
+                    Cache.str() + " " FG_PROGRAMS_DIR "/modules";
+  RunResult Cold = runFgc(Cmd);
+  ASSERT_EQ(Cold.ExitCode, 0) << Cold.Stderr;
+  EXPECT_NE(Cold.Stdout.find("batch: 3 modules, 3 checked"),
+            std::string::npos)
+      << Cold.Stdout;
+  EXPECT_EQ(counterValue(Cold.Stdout, "modules.interface.parses"), 3u);
+  EXPECT_EQ(timerCalls(Cold.Stdout, "modules.instantiate"), 3u);
+  EXPECT_EQ(timerCalls(Cold.Stdout, "modules.serialize"), 3u);
+
+  // runFgc ran the batch twice, so the cache is warm: every file is
+  // parsed once to validate it, and nothing is instantiated.
+  RunResult Warm = runFgc(Cmd);
+  ASSERT_EQ(Warm.ExitCode, 0) << Warm.Stderr;
+  EXPECT_NE(Warm.Stdout.find("batch: 3 modules, 0 checked, 3 cached"),
+            std::string::npos)
+      << Warm.Stdout;
+  EXPECT_EQ(counterValue(Warm.Stdout, "modules.interface.parses"), 3u);
+  EXPECT_EQ(timerCalls(Warm.Stdout, "modules.instantiate"), 0u);
 }
 
 /// The -O2 inputs: a sample program and the fglib root.

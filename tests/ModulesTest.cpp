@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 
 using namespace fg;
 using namespace fg::modules;
@@ -87,6 +88,44 @@ protected:
            "let four = Doubler<int>.twice(2) in\n"
            "let triple = fun(x : int). iadd(x, iadd(x, x)) in\n"
            "pair[int](Doubler<int>.twice(four), triple(four))\n";
+  }
+
+  /// Writes `lib.fg`: two concepts, a named model and two aliases, of
+  /// which the importers below use one concept, the model and one alias.
+  void writeRefLib() {
+    write("lib.fg", "module lib;\n"
+                    "concept Shape<t> { size : fn(t) -> int; } in\n"
+                    "concept Other<t> { other : fn(t) -> t; } in\n"
+                    "model [tall] Shape<int> { size = fun(x : int). "
+                    "iadd(x, x); } in\n"
+                    "type Pt = (int * int) in\n"
+                    "type Unused = bool in\n"
+                    "0\n");
+  }
+
+  /// Writes lib, `mid.fg` (re-exports lib's named model through a spine
+  /// `use`, exports a value typed with lib's alias `Pt`) and `top.fg`
+  /// (imports only mid, uses both), and returns top.fg's path.
+  std::string writeReExportChain() {
+    writeRefLib();
+    write("mid.fg", "module mid;\n"
+                    "import lib;\n"
+                    "use tall in\n"
+                    "let origin = fun(p : Pt). p in\n"
+                    "0\n");
+    return write("top.fg", "module top;\n"
+                           "import mid;\n"
+                           "iadd(Shape<int>.size(nth origin((3, 4)) 0), 1)\n");
+  }
+
+  /// The `(cref ...)` and `(aref ...)` lines of interface text \p Text.
+  static std::vector<std::string> refLines(const std::string &Text) {
+    std::vector<std::string> Out;
+    std::istringstream In(Text);
+    for (std::string Line; std::getline(In, Line);)
+      if (Line.rfind(" (cref ", 0) == 0 || Line.rfind(" (aref ", 0) == 0)
+        Out.push_back(Line);
+    return Out;
   }
 
   static BatchResult batch(const ModuleLoader &Loader,
@@ -573,31 +612,109 @@ TEST_F(ModulesTest, CorpusFanIn64WideRootChecksAndCaches) {
   EXPECT_FALSE(BR.find("m0064")->CacheHit);
 }
 
-TEST_F(ModulesTest, PeekInterfaceDepsRoundTrips) {
+TEST_F(ModulesTest, ParsedInterfaceDepsRoundTrip) {
   std::string Top = writeDiamond();
   ModuleLoader Loader;
   std::string Root, Error;
   ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
   ASSERT_TRUE(batch(Loader, {Root}).Success);
 
-  std::string Text = readAll((Dir / "top.fgi").string());
-  std::vector<std::pair<std::string, uint64_t>> Deps;
-  ASSERT_TRUE(peekInterfaceDeps(Text, Deps));
-  ASSERT_EQ(Deps.size(), 3u);
-  EXPECT_EQ(Deps[0].first, "base");
-  EXPECT_EQ(Deps[1].first, "left");
-  EXPECT_EQ(Deps[2].first, "right");
+  ParsedInterface P;
+  ASSERT_TRUE(parseInterface(readAll((Dir / "top.fgi").string()), P, Error))
+      << Error;
+  EXPECT_EQ(P.ModuleName, "top");
+  ASSERT_EQ(P.Deps.size(), 3u);
+  EXPECT_EQ(P.Deps[0].first, "base");
+  EXPECT_EQ(P.Deps[1].first, "left");
+  EXPECT_EQ(P.Deps[2].first, "right");
   // The stored hash must be reproducible from source + stored deps —
   // the property the transitive-invalidation attribution relies on.
-  uint64_t Stored;
-  ASSERT_TRUE(peekInterfaceHash(Text, Stored));
-  EXPECT_EQ(Stored,
-            interfaceHash(readAll((Dir / "top.fg").string()), Deps));
+  EXPECT_EQ(P.Hash,
+            interfaceHash(readAll((Dir / "top.fg").string()), P.Deps));
 
-  std::vector<std::pair<std::string, uint64_t>> LeafDeps;
-  ASSERT_TRUE(peekInterfaceDeps(readAll((Dir / "base.fgi").string()),
-                                LeafDeps));
-  EXPECT_TRUE(LeafDeps.empty());
+  ParsedInterface Leaf;
+  ASSERT_TRUE(
+      parseInterface(readAll((Dir / "base.fgi").string()), Leaf, Error))
+      << Error;
+  EXPECT_TRUE(Leaf.Deps.empty());
+
+  // A malformed or foreign file does not parse (so a batch reads it as
+  // a cache miss).
+  EXPECT_FALSE(parseInterface("(fgi 1 (module m)", P, Error));
+  EXPECT_FALSE(parseInterface("(fgi 2 (module m) (hash 0))", P, Error));
+}
+
+TEST_F(ModulesTest, InterfaceOfIntOnlyClientListsNoImports) {
+  writeRefLib();
+  // The client uses an imported concept and model internally, but
+  // exports only ints.
+  std::string Client = write(
+      "client.fg", "module client;\n"
+                   "import lib;\n"
+                   "let k = (use tall in Shape<int>.size(2)) in\n"
+                   "iadd(k, 1)\n");
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(Client, Root, Error)) << Error;
+  ASSERT_TRUE(batch(Loader, {Root}).Success);
+  std::string Text = readAll((Dir / "client.fgi").string());
+  EXPECT_TRUE(refLines(Text).empty()) << Text;
+  EXPECT_NE(Text.find("(val k int)"), std::string::npos) << Text;
+}
+
+TEST_F(ModulesTest, InterfaceListsExactlyTheImportsItMentions) {
+  std::string Top = writeReExportChain();
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
+  // top, two levels above lib, checks against mid's pruned interface.
+  ASSERT_TRUE(batch(Loader, {Root}).Success);
+
+  // Shape (through the re-exported model) and Pt (through origin's
+  // type), not Other or Unused.
+  std::vector<std::string> Refs =
+      refLines(readAll((Dir / "mid.fgi").string()));
+  ASSERT_EQ(Refs.size(), 2u);
+  EXPECT_NE(Refs[0].find("(cref "), std::string::npos) << Refs[0];
+  EXPECT_NE(Refs[0].find(" lib Shape)"), std::string::npos) << Refs[0];
+  EXPECT_NE(Refs[1].find("(aref "), std::string::npos) << Refs[1];
+  EXPECT_NE(Refs[1].find(" lib Pt)"), std::string::npos) << Refs[1];
+}
+
+TEST_F(ModulesTest, InterfaceWithUnusedReferencesStillInstantiates) {
+  std::string Top = writeReExportChain();
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
+  ASSERT_TRUE(batch(Loader, {Root}).Success);
+
+  // Rewrite mid.fgi the way interfaces were written before references
+  // were pruned: one line for every concept and alias its importer saw.
+  // Keys are producer-local, so any unused ones do.
+  std::string MidPath = (Dir / "mid.fgi").string();
+  std::string Text = readAll(MidPath);
+  size_t At = Text.find("(decls\n");
+  ASSERT_NE(At, std::string::npos);
+  Text.insert(At + 7, " (cref 90 lib Other)\n (aref 91 lib Unused)\n");
+  std::ofstream(MidPath, std::ios::trunc) << Text;
+
+  Frontend FE;
+  ImportEnv Env;
+  ModuleInterface LibI, MidI;
+  ASSERT_TRUE(instantiateInterface(readAll((Dir / "lib.fgi").string()), FE,
+                                   Env, LibI, Error))
+      << Error;
+  ASSERT_TRUE(instantiateInterface(Text, FE, Env, MidI, Error)) << Error;
+  ASSERT_EQ(MidI.Values.size(), 1u);
+  EXPECT_EQ(typeToString(MidI.Values[0].Ty), "fn(Pt) -> Pt");
+
+  // Its hash still matches, so a batch reuses it, and a recheck of top
+  // instantiates from it.
+  fs::remove(Dir / "top.fgi");
+  BatchResult BR = batch(Loader, {Root});
+  ASSERT_TRUE(BR.Success);
+  EXPECT_TRUE(BR.find("mid")->CacheHit);
+  EXPECT_FALSE(BR.find("top")->CacheHit);
 }
 
 } // namespace
